@@ -115,6 +115,13 @@ impl CarryChain {
         self.cumulative_ps[i]
     }
 
+    /// All cumulative delays, `len() + 1` entries, non-decreasing:
+    /// `cumulative_ps()[i] == prefix_delay_ps(i)`.
+    #[must_use]
+    pub fn cumulative_ps(&self) -> &[f64] {
+        &self.cumulative_ps
+    }
+
     /// Total delay through the chain.
     #[must_use]
     pub fn total_delay_ps(&self) -> f64 {
@@ -155,8 +162,10 @@ mod tests {
         for i in 0..=c.len() {
             let p = c.prefix_delay_ps(i);
             assert!(p > prev);
+            assert_eq!(c.cumulative_ps()[i], p);
             prev = p;
         }
+        assert_eq!(c.cumulative_ps().len(), c.len() + 1);
     }
 
     #[test]

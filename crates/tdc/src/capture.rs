@@ -10,17 +10,29 @@ use serde::{Deserialize, Serialize};
 /// distance* of the word from all-zeros for rising transitions, and from
 /// all-ones for falling transitions, yields the propagation distance in
 /// carry bits (Figure 3's example produces the sequence 39, 22, 38, 22).
+///
+/// The word is immutable, so the distance is counted once, when it is
+/// built, and every later query reads the stored count.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CaptureWord {
     kind: TransitionKind,
     bits: Vec<bool>,
+    distance: usize,
 }
 
 impl CaptureWord {
     /// Wraps a captured register word.
     #[must_use]
     pub fn new(kind: TransitionKind, bits: Vec<bool>) -> Self {
-        Self { kind, bits }
+        let distance = match kind {
+            TransitionKind::Rising => bits.iter().filter(|&&b| b).count(),
+            TransitionKind::Falling => bits.iter().filter(|&&b| !b).count(),
+        };
+        Self {
+            kind,
+            bits,
+            distance,
+        }
     }
 
     /// The transition polarity this capture observed.
@@ -51,10 +63,7 @@ impl CaptureWord {
     /// all-zeros (rising) or all-ones (falling).
     #[must_use]
     pub fn propagation_distance(&self) -> usize {
-        match self.kind {
-            TransitionKind::Rising => self.bits.iter().filter(|&&b| b).count(),
-            TransitionKind::Falling => self.bits.iter().filter(|&&b| !b).count(),
-        }
+        self.distance
     }
 
     /// Whether the edge overran the whole chain (distance == length) or
@@ -62,8 +71,7 @@ impl CaptureWord {
     /// timing information and θ must be retuned.
     #[must_use]
     pub fn is_saturated(&self) -> bool {
-        let d = self.propagation_distance();
-        d == 0 || d == self.len()
+        self.distance == 0 || self.distance == self.len()
     }
 }
 

@@ -114,6 +114,9 @@ impl TdcSensor {
 
     /// Captures a single sample: launches one `kind` edge with the capture
     /// clock offset by `theta_ps` and snapshots the chain.
+    ///
+    /// Walks the route once per call; [`capture_trace`](Self::capture_trace)
+    /// walks it once per trace.
     #[must_use]
     pub fn capture_sample<R: Rng + ?Sized>(
         &self,
@@ -122,37 +125,61 @@ impl TdcSensor {
         kind: TransitionKind,
         rng: &mut R,
     ) -> CaptureWord {
-        let route_delay = device.route_delay(&self.route).for_transition(kind);
+        let route_delay_ps = device.route_delay(&self.route).for_transition(kind);
+        self.capture(route_delay_ps, theta_ps, kind, rng)
+    }
+
+    /// The capture kernel: one sample against an already-walked route
+    /// delay.
+    ///
+    /// Bit `i` compares the edge front with the delay through element
+    /// `i`, and the margin never grows along the chain. So the bits
+    /// before `lo` certainly saw the transition, the bits from `hi` on
+    /// certainly did not, and only the metastable window `lo..hi` draws
+    /// from `rng`, in chain order.
+    fn capture<R: Rng + ?Sized>(
+        &self,
+        route_delay_ps: f64,
+        theta_ps: f64,
+        kind: TransitionKind,
+        rng: &mut R,
+    ) -> CaptureWord {
         let jitter = gaussian(rng) * self.config.jitter_sigma_ps;
         // Time the edge has had inside the chain when the capture fires.
-        let front_time = theta_ps + jitter - route_delay;
+        let front_time = theta_ps + jitter - route_delay_ps;
         let w = self.config.metastable_window_ps;
-        let bits = (0..self.chain.len())
-            .map(|i| {
-                let passed_at = self.chain.prefix_delay_ps(i + 1);
-                let margin = front_time - passed_at;
-                let transition_passed = if margin > w / 2.0 {
-                    true
-                } else if margin < -w / 2.0 {
-                    false
-                } else if w > 0.0 {
-                    // Metastable: resolves with probability linear in the
-                    // capture margin.
-                    rng.gen_bool((0.5 + margin / w).clamp(0.0, 1.0))
-                } else {
-                    margin >= 0.0
-                };
-                match kind {
-                    TransitionKind::Rising => transition_passed,
-                    TransitionKind::Falling => !transition_passed,
-                }
-            })
-            .collect();
+        let passed_at = &self.chain.cumulative_ps()[1..];
+        let lo = passed_at.partition_point(|&p| front_time - p > w / 2.0);
+        // The negated test is the per-bit loop's own expression, so the
+        // tail boundary matches it bit for bit, NaN margins included.
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        let hi = lo + passed_at[lo..].partition_point(|&p| !(front_time - p < -w / 2.0));
+        let level = |transition_passed: bool| match kind {
+            TransitionKind::Rising => transition_passed,
+            TransitionKind::Falling => !transition_passed,
+        };
+        let mut bits = vec![level(false); passed_at.len()];
+        bits[..lo].fill(level(true));
+        for (bit, &p) in bits[lo..hi].iter_mut().zip(&passed_at[lo..hi]) {
+            let margin = front_time - p;
+            *bit = level(if w > 0.0 {
+                // Metastable: resolves with probability linear in the
+                // capture margin.
+                rng.gen_bool((0.5 + margin / w).clamp(0.0, 1.0))
+            } else {
+                margin >= 0.0
+            });
+        }
         CaptureWord::new(kind, bits)
     }
 
     /// Captures one trace (both polarities, `samples_per_trace` each) at a
     /// fixed θ.
+    ///
+    /// The route is walked once for the whole trace: the device is
+    /// borrowed immutably, so its delay cannot change between samples.
+    /// Nothing is cached across calls, because [`FpgaDevice::run_for`]
+    /// ages wires between them.
     #[must_use]
     pub fn capture_trace<R: Rng + ?Sized>(
         &self,
@@ -162,9 +189,11 @@ impl TdcSensor {
     ) -> Trace {
         // The clock generator can only realize phases on its grid.
         let theta_ps = self.clock.quantize(theta_ps);
+        let route_delay = device.route_delay(&self.route);
         let sample = |kind, rng: &mut R| {
+            let route_delay_ps = route_delay.for_transition(kind);
             (0..self.config.samples_per_trace)
-                .map(|_| self.capture_sample(device, theta_ps, kind, rng))
+                .map(|_| self.capture(route_delay_ps, theta_ps, kind, rng))
                 .collect::<Vec<_>>()
         };
         let rising = sample(TransitionKind::Rising, rng);
@@ -246,13 +275,7 @@ impl TdcSensor {
         device: &FpgaDevice,
         rng: &mut R,
     ) -> Result<Measurement, TdcError> {
-        let theta_init = self.theta_init_ps.ok_or(TdcError::NotCalibrated)?;
-        let traces: Vec<Trace> = (0..self.config.traces_per_measurement)
-            .map(|i| {
-                let theta = theta_init - i as f64 * self.config.theta_step_ps;
-                self.capture_trace(device, theta, rng)
-            })
-            .collect();
+        let traces = self.measurement_traces(device, rng)?;
         Ok(Measurement::from_traces(&traces))
     }
 
@@ -275,14 +298,20 @@ impl TdcSensor {
         min_quorum: f64,
         rng: &mut R,
     ) -> Result<Measurement, TdcError> {
+        Measurement::try_from_traces(&self.measurement_traces(device, rng)?, min_quorum)
+    }
+
+    /// The measurement's traces, θ stepping down from θ_init.
+    fn measurement_traces<R: Rng + ?Sized>(
+        &self,
+        device: &FpgaDevice,
+        rng: &mut R,
+    ) -> Result<Vec<Trace>, TdcError> {
         let theta_init = self.theta_init_ps.ok_or(TdcError::NotCalibrated)?;
-        let traces: Vec<Trace> = (0..self.config.traces_per_measurement)
-            .map(|i| {
-                let theta = theta_init - i as f64 * self.config.theta_step_ps;
-                self.capture_trace(device, theta, rng)
-            })
-            .collect();
-        Measurement::try_from_traces(&traces, min_quorum)
+        let step = self.config.theta_step_ps;
+        Ok((0..self.config.traces_per_measurement)
+            .map(|i| self.capture_trace(device, theta_init - i as f64 * step, rng))
+            .collect())
     }
 
     /// Measures, retuning θ first if the stored θ_init saturates (the
@@ -312,7 +341,7 @@ mod tests {
     use bti_physics::{DutyCycle, Hours};
     use fpga_fabric::RouteRequest;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn setup(target: f64, seed: u64) -> (FpgaDevice, TdcSensor, StdRng) {
         let device = FpgaDevice::zcu102_new(seed);
@@ -470,5 +499,153 @@ mod tests {
         let before = device.route_delta_ps(sensor.route());
         let _ = sensor.measure(&device, &mut rng).unwrap();
         assert_eq!(device.route_delta_ps(sensor.route()), before);
+    }
+
+    /// The per-bit capture loop the window kernel replaced: every bit
+    /// re-derives its margin and decides on its own. Kept as the reference
+    /// the kernel must match bit for bit and draw for draw.
+    fn reference_capture<R: Rng + ?Sized>(
+        sensor: &TdcSensor,
+        route_delay_ps: f64,
+        theta_ps: f64,
+        kind: TransitionKind,
+        rng: &mut R,
+    ) -> CaptureWord {
+        let jitter = gaussian(rng) * sensor.config.jitter_sigma_ps;
+        let front_time = theta_ps + jitter - route_delay_ps;
+        let w = sensor.config.metastable_window_ps;
+        let bits = (0..sensor.chain.len())
+            .map(|i| {
+                let passed_at = sensor.chain.prefix_delay_ps(i + 1);
+                let margin = front_time - passed_at;
+                let transition_passed = if margin > w / 2.0 {
+                    true
+                } else if margin < -w / 2.0 {
+                    false
+                } else if w > 0.0 {
+                    rng.gen_bool((0.5 + margin / w).clamp(0.0, 1.0))
+                } else {
+                    margin >= 0.0
+                };
+                match kind {
+                    TransitionKind::Rising => transition_passed,
+                    TransitionKind::Falling => !transition_passed,
+                }
+            })
+            .collect();
+        CaptureWord::new(kind, bits)
+    }
+
+    fn fresh_distance(word: &CaptureWord) -> usize {
+        let passed = |&&b: &&bool| match word.kind() {
+            TransitionKind::Rising => b,
+            TransitionKind::Falling => !b,
+        };
+        word.bits().iter().filter(passed).count()
+    }
+
+    #[test]
+    fn window_kernel_matches_per_bit_reference() {
+        let device = FpgaDevice::zcu102_new(31);
+        let route = device
+            .route_with_target_delay(&RouteRequest::new(TileCoord::new(4, 4), 2_000.0))
+            .unwrap();
+        let route_delay = device.route_delay(&route);
+        let mut cases = 0usize;
+        for jitter_sigma_ps in [
+            0.0,
+            TdcConfig::lab().jitter_sigma_ps,
+            TdcConfig::cloud().jitter_sigma_ps,
+        ] {
+            for metastable_window_ps in [0.0, 1.5, 6.0] {
+                let config = TdcConfig {
+                    jitter_sigma_ps,
+                    metastable_window_ps,
+                    ..TdcConfig::lab()
+                };
+                let sensor = TdcSensor::place(&device, route.clone(), config).unwrap();
+                let cum = sensor.chain().cumulative_ps();
+                let total = sensor.chain().total_delay_ps();
+                // Fronts before, across and past the chain on a 0.5 ps
+                // grid, plus every element boundary and window edge.
+                let grid = (0..).map(|k| -40.0 + 0.5 * f64::from(k));
+                let grid = grid.take_while(|&f| f <= total + 40.0);
+                let half = metastable_window_ps / 2.0;
+                let edges = cum.iter().flat_map(|&c| [c - half, c, c + half]);
+                let fronts: Vec<f64> = grid.chain(edges).collect();
+                for kind in TransitionKind::ALL {
+                    let delay = route_delay.for_transition(kind);
+                    for &front in &fronts {
+                        let theta = delay + front;
+                        let mut rng_ref = StdRng::seed_from_u64(cases as u64);
+                        let mut rng_fast = StdRng::seed_from_u64(cases as u64);
+                        let want = reference_capture(&sensor, delay, theta, kind, &mut rng_ref);
+                        let got = sensor.capture(delay, theta, kind, &mut rng_fast);
+                        assert_eq!(got, want, "case {cases}: front {front} ps, {config:?}");
+                        assert_eq!(got.propagation_distance(), fresh_distance(&want));
+                        assert_eq!(
+                            rng_fast.next_u64(),
+                            rng_ref.next_u64(),
+                            "case {cases}: RNG draw count diverged"
+                        );
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        assert!(cases >= 10_000, "only {cases} cases");
+    }
+
+    #[test]
+    fn sample_loop_matches_trace_on_fresh_and_aged_device() {
+        let (mut device, mut sensor, mut rng) = setup(5_000.0, 23);
+        sensor.calibrate(&device, &mut rng).unwrap();
+        let mut plan = SensorFaultPlan::none();
+        plan.seed = 99;
+        sensor.set_fault_plan(plan);
+        let theta = sensor.theta_init_ps().unwrap();
+        let route = sensor.route().clone();
+        for aged in [false, true] {
+            if aged {
+                device.condition_route(&route, DutyCycle::ALWAYS_ONE, Hours::new(200.0));
+            }
+            let seed = 40 + u64::from(aged);
+            let trace = sensor.capture_trace(&device, theta, &mut StdRng::seed_from_u64(seed));
+            let mut rng = StdRng::seed_from_u64(seed);
+            let theta_q = sensor.clock().quantize(theta);
+            let mut samples = |kind| -> Vec<CaptureWord> {
+                (0..sensor.config().samples_per_trace)
+                    .map(|_| sensor.capture_sample(&device, theta_q, kind, &mut rng))
+                    .collect()
+            };
+            let rising = samples(TransitionKind::Rising);
+            let falling = samples(TransitionKind::Falling);
+            assert_eq!(trace, Trace::new(theta_q, rising, falling), "aged = {aged}");
+        }
+    }
+
+    #[test]
+    fn corrupted_words_carry_a_fresh_distance() {
+        let (device, mut sensor, mut rng) = setup(5_000.0, 24);
+        sensor.calibrate(&device, &mut rng).unwrap();
+        let plan = SensorFaultPlan::noisy(7, 0.4);
+        let theta_init = sensor.theta_init_ps().unwrap();
+        let mut corrupted = 0usize;
+        for i in 0..20 {
+            let theta = theta_init - f64::from(i) * sensor.config().theta_step_ps;
+            let clean = sensor.capture_trace(&device, theta, &mut rng);
+            let faulty = plan.corrupt_trace(clean.clone());
+            for kind in TransitionKind::ALL {
+                for (c, f) in clean.words(kind).iter().zip(faulty.words(kind)) {
+                    if c.bits() != f.bits() {
+                        corrupted += 1;
+                    }
+                    let d = fresh_distance(f);
+                    assert_eq!(f.propagation_distance(), d);
+                    assert_eq!(f.is_saturated(), d == 0 || d == f.len());
+                }
+            }
+        }
+        assert!(corrupted > 0, "the plan corrupted no word");
     }
 }

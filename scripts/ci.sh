@@ -32,6 +32,17 @@ echo "== kernel_bench smoke (fast-path equivalence) =="
 # noise on shared CI hosts must not fail the build.
 cargo run --release -q -p bench --bin kernel_bench -- --smoke
 
+echo "== paper figures byte-identity (fig6/fig7/fig8 vs committed CSVs) =="
+# The figure bins are seeded end to end, so a change that is meant to
+# keep outputs (a faster kernel, a refactor) must regenerate the
+# committed figure CSVs byte for byte. A change that moves a figure on
+# purpose commits the regenerated CSVs with it.
+for fig in fig6 fig7 fig8; do
+    cargo run --release -q -p bench --bin "$fig" > /dev/null
+done
+git diff --exit-code --stat -- results/fig6.csv results/fig7.csv results/fig8.csv \
+    || { echo "FAIL: paper figure CSVs differ from the committed files"; exit 1; }
+
 echo "== attack_accuracy trace smoke (observability artifacts + overhead) =="
 # The traced smoke run must produce a parseable JSONL trace and metrics
 # JSON, leave the CSV artifact byte-identical to the untraced run, and
