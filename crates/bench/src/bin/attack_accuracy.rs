@@ -190,8 +190,7 @@ fn run() {
             let compute = || {
                 let mut provider = Provider::new(ProviderConfig::aws_f1_like(1, seed));
                 provider.set_recorder(rec.clone());
-                let outcome = threat_model1::run_traced(&mut provider, &config, rec.as_deref())
-                    .expect("attack completes");
+                let outcome = threat_model1::run(&mut provider, &config).expect("attack completes");
                 let per_len = lengths
                     .iter()
                     .map(|&target| {
@@ -269,8 +268,7 @@ fn run() {
             let compute = || {
                 let mut provider = Provider::new(ProviderConfig::aws_f1_like(2, seed));
                 provider.set_recorder(rec.clone());
-                let outcome = threat_model2::run_traced(&mut provider, &config, rec.as_deref())
-                    .expect("attack completes");
+                let outcome = threat_model2::run(&mut provider, &config).expect("attack completes");
                 let mut long_correct = 0;
                 let mut long_total = 0;
                 let per_len = lengths

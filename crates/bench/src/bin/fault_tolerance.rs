@@ -2,19 +2,18 @@
 //! intensity, for both threat models, driven through the resilient
 //! [`Campaign`] runner.
 //!
-//! Three claims are checked:
+//! Two claims are checked:
 //!
-//! 1. **Benign equivalence** — a campaign with every fault rate at zero
-//!    recovers *exactly* the bits (and the byte-identical series) of the
-//!    plain threat-model drivers: the resilience machinery is free when
-//!    the weather is good.
-//! 2. **Graceful degradation** — as fault intensity rises, more faults
+//! 1. **Graceful degradation** — as fault intensity rises, more faults
 //!    actually land and accuracy falls (or holds), rather than the
 //!    campaign crashing: every hostile run completes.
-//! 3. **Checkpoint/resume** — interrupting a campaign mid-flight (with a
+//! 2. **Checkpoint/resume** — interrupting a campaign mid-flight (with a
 //!    preemption scheduled *after* the checkpoint) and resuming from the
 //!    snapshot reproduces the uninterrupted run's classified bits
 //!    bit-for-bit.
+//!
+//! The rate-0 rows are benign campaigns, i.e. exactly what the
+//! threat-model drivers run; the committed artifacts pin them.
 //!
 //! Artifacts: `fault_tolerance.csv` and `fault_tolerance.json`.
 
@@ -22,9 +21,8 @@ use bench::{exit_by, run_with_thread_arg, save_artifact, ObsSink, ShapeReport, S
 use bti_physics::{Hours, LogicLevel};
 use cloud::{FaultKind, FaultPlan, Provider, ProviderConfig};
 use obs::json_f64;
-use obs_analyze::fnv1a;
-use pentimento::threat_model1::{self, ThreatModel1Config};
-use pentimento::threat_model2::{self, ThreatModel2Config};
+use pentimento::threat_model1::ThreatModel1Config;
+use pentimento::threat_model2::ThreatModel2Config;
 use pentimento::{Campaign, CampaignConfig, CampaignOutcome, MeasurementMode, Mission};
 use rayon::prelude::*;
 use tdc::SensorFaultPlan;
@@ -71,17 +69,8 @@ fn campaign_config(rate: f64) -> CampaignConfig {
     config
 }
 
-/// Exact content digest of a campaign's behavioural outcome: FNV-1a
-/// over the `Debug` rendering of (series, recovered, truth). `Debug`
-/// prints floats shortest-roundtrip, so equal digests mean bit-equal
-/// outcomes — cross-cell identity claims (benign equivalence) survive
-/// caching without storing the full series.
-fn outcome_digest(series: &[pentimento::RouteSeries], recovered: &[LogicLevel]) -> u64 {
-    fnv1a(format!("{:?}", (series, recovered)).as_bytes())
-}
-
 /// Everything one sweep cell contributes downstream (table line, CSV and
-/// JSON rows, the three claims) — the unit the result cache stores. A
+/// JSON rows, the degradation claim) — the unit the result cache stores. A
 /// campaign failure is carried in `error` so a cached cell replays the
 /// same attributed check failure a live run would produce.
 struct CellOut {
@@ -100,7 +89,6 @@ struct CellOut {
     degraded_points: u64,
     faults_injected: u64,
     truth_bits: u64,
-    digest: u64,
 }
 
 impl CellOut {
@@ -123,7 +111,6 @@ impl CellOut {
             degraded_points: s.degraded_points as u64,
             faults_injected: s.faults_injected as u64,
             truth_bits: outcome.truth.len() as u64,
-            digest: outcome_digest(&outcome.series, &outcome.recovered),
         }
     }
 
@@ -144,7 +131,6 @@ impl CellOut {
             degraded_points: 0,
             faults_injected: 0,
             truth_bits: 0,
-            digest: 0,
         }
     }
 
@@ -157,7 +143,7 @@ impl CellOut {
         out.push_str(&format!(
             "bits={}\ndprime={}\naccuracy={}\nmean_confidence={}\nabstained={}\n\
              reacquisitions={}\nrent_retries={}\nscrub_reloads={}\ndropped_points={}\n\
-             degraded_points={}\nfaults_injected={}\ntruth_bits={}\ndigest={:016x}\n",
+             degraded_points={}\nfaults_injected={}\ntruth_bits={}\n",
             self.bits,
             json_f64(self.dprime),
             json_f64(self.accuracy),
@@ -170,7 +156,6 @@ impl CellOut {
             self.degraded_points,
             self.faults_injected,
             self.truth_bits,
-            self.digest,
         ));
         out
     }
@@ -202,7 +187,6 @@ impl CellOut {
             degraded_points: fields.get("degraded_points")?.parse().ok()?,
             faults_injected: fields.get("faults_injected")?.parse().ok()?,
             truth_bits: fields.get("truth_bits")?.parse().ok()?,
-            digest: u64::from_str_radix(fields.get("digest")?, 16).ok()?,
         })
     }
 
@@ -250,39 +234,7 @@ impl CellOut {
     }
 }
 
-/// Cached form of the plain-driver reference runs claim 1 compares
-/// against.
-struct DriverOut {
-    accuracy: f64,
-    digest: u64,
-}
-
-fn encode_driver(d: &DriverOut) -> String {
-    format!(
-        "accuracy={}\ndigest={:016x}\n",
-        json_f64(d.accuracy),
-        d.digest
-    )
-}
-
-fn decode_driver(s: &str) -> Option<DriverOut> {
-    let mut accuracy = None;
-    let mut digest = None;
-    for line in s.lines() {
-        let (name, value) = line.split_once('=')?;
-        match name {
-            "accuracy" => accuracy = Some(value.parse().ok()?),
-            "digest" => digest = Some(u64::from_str_radix(value, 16).ok()?),
-            _ => return None,
-        }
-    }
-    Some(DriverOut {
-        accuracy: accuracy?,
-        digest: digest?,
-    })
-}
-
-/// Cached form of the checkpoint/resume scenario (claim 3): the
+/// Cached form of the checkpoint/resume scenario (claim 2): the
 /// identity verdict plus the numbers the check's observed string prints.
 struct ResumeOut {
     completed: bool,
@@ -425,63 +377,8 @@ fn run() {
         format!("{} of {} completed", rows.len(), RATES.len() * 2),
     );
 
-    // ----- Claim 1: benign equivalence with the plain drivers. ----------
-    // The drivers are cells too; their outcome digests stand in for the
-    // full series/recovered comparison (equal digest ⇔ bit-equal Debug
-    // rendering ⇔ bit-equal outcome).
-    let driver_cell =
-        |name: &str, config_dbg: String, run: &dyn Fn() -> DriverOut| match cache.as_ref() {
-            Some(cache) => cache.cell(
-                name,
-                &[
-                    ("bin", "fault_tolerance"),
-                    ("driver", name),
-                    ("config", &config_dbg),
-                ],
-                run,
-                encode_driver,
-                decode_driver,
-            ),
-            None => run(),
-        };
-    let tm1_driver = driver_cell("fault_driver_tm1", format!("{:?}", tm1_config()), &|| {
-        let outcome = threat_model1::run(&mut provider(), &tm1_config()).expect("tm1 driver");
-        DriverOut {
-            accuracy: outcome.metrics.accuracy,
-            digest: outcome_digest(&outcome.series, &outcome.recovered),
-        }
-    });
-    let tm2_driver = driver_cell("fault_driver_tm2", format!("{:?}", tm2_config()), &|| {
-        let outcome = threat_model2::run(&mut provider(), &tm2_config()).expect("tm2 driver");
-        DriverOut {
-            accuracy: outcome.metrics.accuracy,
-            digest: outcome_digest(&outcome.series, &outcome.recovered),
-        }
-    });
-
     let find = |tm: &str, rate: f64| rows.iter().find(|r| r.tm == tm && r.rate == rate);
-    if let Some(row) = find("tm1", 0.0) {
-        report.check(
-            "TM1 rate-0 campaign bits identical to the fault-free driver",
-            row.digest == tm1_driver.digest,
-            format!(
-                "campaign accuracy {:.4}, driver accuracy {:.4}",
-                row.accuracy, tm1_driver.accuracy
-            ),
-        );
-    }
-    if let Some(row) = find("tm2", 0.0) {
-        report.check(
-            "TM2 rate-0 campaign bits identical to the fault-free driver",
-            row.digest == tm2_driver.digest,
-            format!(
-                "campaign accuracy {:.4}, driver accuracy {:.4}",
-                row.accuracy, tm2_driver.accuracy
-            ),
-        );
-    }
-
-    // ----- Claim 2: graceful (monotonic-ish) degradation. ---------------
+    // ----- Claim 1: graceful (monotonic-ish) degradation. ---------------
     for tm in ["tm1", "tm2"] {
         let acc: Vec<f64> = RATES
             .iter()
@@ -507,7 +404,7 @@ fn run() {
         }
     }
 
-    // ----- Claim 3: checkpoint/resume is bit-identical. -----------------
+    // ----- Claim 2: checkpoint/resume is bit-identical. -----------------
     // A preemption is scheduled after the checkpoint hour, so the resumed
     // campaign must also replay the fault and its recovery. The whole
     // scenario (reference + interrupt + resume + identity verdict) is one

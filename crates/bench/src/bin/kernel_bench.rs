@@ -430,15 +430,13 @@ fn bench_end_to_end(sink: Option<&ObsSink>) -> Row {
     let mut provider = Provider::new(ProviderConfig::aws_f1_like(1, SEED));
     provider.set_reference_kernels(true);
     provider.set_recorder(rec.clone());
-    let reference = threat_model1::run_traced(&mut provider, &config, rec.as_deref())
-        .expect("attack completes");
+    let reference = threat_model1::run(&mut provider, &config).expect("attack completes");
     let reference_seconds = start.elapsed().as_secs_f64();
 
     let start = Instant::now();
     let mut provider = Provider::new(ProviderConfig::aws_f1_like(1, SEED));
-    provider.set_recorder(rec.clone());
-    let fast = threat_model1::run_traced(&mut provider, &config, rec.as_deref())
-        .expect("attack completes");
+    provider.set_recorder(rec);
+    let fast = threat_model1::run(&mut provider, &config).expect("attack completes");
     let fast_seconds = start.elapsed().as_secs_f64();
 
     let bit_identical = reference.series == fast.series

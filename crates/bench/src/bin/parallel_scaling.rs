@@ -70,8 +70,7 @@ fn run_at(
     let outcome = pool.install(|| {
         let mut provider = Provider::new(ProviderConfig::aws_f1_like(1, SEED));
         provider.set_recorder(rec.map(Arc::clone));
-        threat_model1::run_traced(&mut provider, config, rec.map(Arc::as_ref))
-            .expect("attack completes")
+        threat_model1::run(&mut provider, config).expect("attack completes")
     });
     (outcome, start.elapsed().as_secs_f64())
 }

@@ -1,11 +1,15 @@
-//! Resilient, resumable attack campaigns against a hostile cloud.
+//! The attack loop: resilient, resumable campaigns against a hostile
+//! cloud.
 //!
-//! The threat-model drivers ([`crate::threat_model1`],
-//! [`crate::threat_model2`]) assume a well-behaved provider: every `rent`
-//! succeeds, leases last forever, and every measurement aggregates. A
-//! real multi-hundred-hour campaign meets preempted sessions, capacity
-//! blips, spurious scrubs, and sensor dropouts. This module wraps the
-//! same attacks in a [`Campaign`] runner that:
+//! Both threat models run the paper's hourly condition → measure loop:
+//! Threat Model 1 through burn-in (Experiment 2), Threat Model 2 through
+//! recovery (Experiment 3). This module is the only implementation of
+//! that loop. The threat-model drivers ([`crate::threat_model1::run`],
+//! [`crate::threat_model2::run`]) are benign campaigns — default
+//! [`CampaignConfig`], no fault plan — run against the caller's provider.
+//! A real multi-hundred-hour campaign also meets preempted sessions,
+//! capacity blips, spurious scrubs, and sensor dropouts, so the
+//! [`Campaign`] runner:
 //!
 //! * classifies every failure as **transient or fatal**
 //!   ([`PentimentoError::is_transient`]) and retries transients under an
@@ -29,10 +33,6 @@
 //! every thread count and independent of scheduling order. The phase
 //! index is derived from the number of recorded measurements, so resumed
 //! campaigns replay the same streams with no extra checkpoint state.
-//! (Switching to derived streams was a one-time, documented golden-value
-//! change: absolute readings differ from the pre-stream implementation,
-//! but every driver-equality, fault-transparency, and resume-identity
-//! invariant is unchanged.)
 //!
 //! Faults are armed only once the attack window opens (the victim's burn
 //! epoch and the attacker's calibration stay deterministic), so accuracy
@@ -51,7 +51,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use tdc::{stream_seed, SensorFaultPlan, TdcConfig, TdcSensor, STREAM_CALIBRATE, STREAM_MEASURE};
+use tdc::{stream_seed, SensorFaultPlan, TdcArray, TdcConfig, TdcSensor, STREAM_MEASURE};
 
 use crate::classify::{
     BitClassifier, Classification, DriftSlopeClassifier, RecoverySlopeClassifier,
@@ -168,9 +168,9 @@ impl Mission {
         }
     }
 
+    /// Master seed of the per-(route, phase) derived RNG streams; the
+    /// secret is drawn serially from a generator seeded with it.
     fn seed(&self) -> u64 {
-        // The same derivations the plain drivers use, so a benign campaign
-        // replays their RNG streams exactly.
         match self {
             Self::ThreatModel1(c) => c.seed ^ 0x7EA5_E77E,
             Self::ThreatModel2(c) => c.seed ^ 0x0DD_B175,
@@ -286,7 +286,7 @@ pub struct CampaignOutcome {
     /// Per-route measurement series (gap-tolerant: dropped samples are
     /// simply absent).
     pub series: Vec<RouteSeries>,
-    /// Hard-decision recovered bits (same rule as the plain drivers).
+    /// Hard-decision recovered bits.
     pub recovered: Vec<LogicLevel>,
     /// Scored verdicts with confidence, including abstentions.
     pub scored: Vec<Classification>,
@@ -381,9 +381,24 @@ struct RunState {
 /// A resilient, resumable attack campaign. Owns the provider so that a
 /// checkpoint captures the *entire* world — fleet aging, ledger, fault
 /// counters — and resume replays bit-identically.
+///
+/// Telemetry goes to the provider's recorder ([`Provider::recorder`]).
+/// Every campaign emission happens on a serial code path (the setup
+/// prologue, the route-ordered merge of each measurement phase,
+/// finalize), so traces are deterministic at every thread-pool width;
+/// see `obs`'s crate docs for the contract.
 #[derive(Debug, Clone)]
 pub struct Campaign {
     provider: Provider,
+    attack: AttackLoop,
+}
+
+/// The attack loop itself: everything a campaign carries except the
+/// provider it runs against. Every method borrows the provider, so the
+/// same loop serves an owned [`Campaign`] and the threat-model drivers,
+/// which run it against a caller's provider.
+#[derive(Debug, Clone)]
+struct AttackLoop {
     mission: Mission,
     config: CampaignConfig,
     rng: StdRng,
@@ -391,12 +406,6 @@ pub struct Campaign {
     stats: CampaignStats,
     backoff_draws: u64,
     armed: bool,
-    /// Optional telemetry sink, shared with the provider. Every campaign
-    /// emission happens on a serial code path (the setup prologue, the
-    /// route-ordered merge in `record`, finalize), so traces are
-    /// deterministic at every thread-pool width; see `obs`'s crate docs
-    /// for the contract.
-    recorder: Option<Arc<Recorder>>,
 }
 
 /// A point-in-time snapshot of a campaign plus two integrity seals.
@@ -440,6 +449,17 @@ impl CampaignCheckpoint {
     }
 }
 
+/// Runs a benign campaign — default [`CampaignConfig`], so no fault plan
+/// — against a borrowed provider, which keeps its recorder and is left
+/// for the caller to inspect afterwards. This is the whole of
+/// [`crate::threat_model1::run`] and [`crate::threat_model2::run`].
+pub(crate) fn run_benign(
+    provider: &mut Provider,
+    mission: Mission,
+) -> Result<CampaignOutcome, PentimentoError> {
+    AttackLoop::start(provider, mission, CampaignConfig::default())?.run(provider)
+}
+
 impl Campaign {
     /// Sets up a campaign: runs the mission's deterministic prologue
     /// (vendor/victim epoch, skeleton, calibration, baseline measurement)
@@ -459,10 +479,10 @@ impl Campaign {
         Self::new_observed(provider, mission, config, None)
     }
 
-    /// [`Campaign::new`] with a telemetry recorder attached from the very
-    /// first rent, so the setup prologue's session and cache events are
-    /// captured too. The recorder is shared with the provider; results
-    /// are bit-identical with or without one.
+    /// [`Campaign::new`] with a telemetry recorder attached to the
+    /// provider from the very first rent, so the setup prologue's
+    /// session and cache events are captured too. Results are
+    /// bit-identical with or without one.
     ///
     /// # Errors
     ///
@@ -473,297 +493,39 @@ impl Campaign {
         config: CampaignConfig,
         recorder: Option<Arc<Recorder>>,
     ) -> Result<Self, PentimentoError> {
-        provider.set_recorder(recorder.clone());
-        let rng = StdRng::seed_from_u64(mission.seed());
-        let mut campaign = Self {
-            recorder,
-            provider,
-            mission,
-            config,
-            rng,
-            run: RunState {
-                session: None,
-                skeleton: Skeleton::empty(),
-                truth: Vec::new(),
-                sensors: Vec::new(),
-                hours_log: Vec::new(),
-                readings: Vec::new(),
-                hour: 0,
-                attack_design: AttackDesign::Condition(LogicLevel::Zero),
-                victim_device: DeviceId(0),
-                fingerprint: DeviceFingerprint {
-                    route_rise_ps: Vec::new(),
-                },
-            },
-            stats: CampaignStats::default(),
-            backoff_draws: 0,
-            armed: false,
-        };
-        campaign.setup()?;
-        campaign.arm();
-        Ok(campaign)
-    }
-
-    /// The mission-specific deterministic prologue. Mirrors the plain
-    /// drivers' operation and RNG order exactly, so a benign campaign is
-    /// bit-identical to them.
-    fn setup(&mut self) -> Result<(), PentimentoError> {
-        match self.mission.clone() {
-            Mission::ThreatModel1(cfg) => self.setup_tm1(&cfg),
-            Mission::ThreatModel2(cfg) => self.setup_tm2(&cfg),
-        }
-    }
-
-    fn setup_tm1(&mut self, cfg: &ThreatModel1Config) -> Result<(), PentimentoError> {
-        self.note_phase("setup:tm1");
-        let attacker = TenantId::new("attacker");
-        let session = self.rent_with_retries(&attacker)?;
-
-        let specs = self.mission.specs();
-        let skeleton = Skeleton::place(self.provider.device(&session)?, &specs)?;
-        let truth: Vec<LogicLevel> = (0..skeleton.len())
-            .map(|_| LogicLevel::from_bool(self.rng.gen()))
-            .collect();
-        let vendor = TenantId::new("vendor");
-        let afi = self.provider.marketplace_mut().publish(
-            vendor,
-            build_target_design(&skeleton, &truth),
-            true,
-        );
-        if self
-            .provider
-            .marketplace()
-            .get(afi)?
-            .inspect(&attacker)
-            .is_ok()
-        {
-            return Err(PentimentoError::InvalidConfig(
-                "marketplace seal broken: the attack must not read the AFI".to_owned(),
-            ));
-        }
-
-        let sensors = if cfg.mode == MeasurementMode::Tdc {
-            self.place_and_calibrate(&session, &skeleton)?
-        } else {
-            Vec::new()
-        };
-
-        let fingerprint = DeviceFingerprint::capture(self.provider.device(&session)?, &skeleton);
-        self.note_fingerprint(session.device_id(), "capture");
-        self.run = RunState {
-            victim_device: session.device_id(),
-            session: Some(session),
-            readings: vec![Vec::new(); skeleton.len()],
-            skeleton,
-            truth,
-            sensors,
-            hours_log: Vec::new(),
-            hour: 0,
-            attack_design: AttackDesign::Afi(afi),
-            fingerprint,
-        };
-
-        // Pre-burn baseline (clean epoch), then load the sealed AFI.
-        self.record(0.0)?;
-        let session = self.current_session()?;
-        self.provider.load_afi(&session, afi)?;
-        Ok(())
-    }
-
-    fn setup_tm2(&mut self, cfg: &ThreatModel2Config) -> Result<(), PentimentoError> {
-        self.note_phase("setup:tm2");
-        let specs = self.mission.specs();
-
-        // --- Victim epoch (unobserved; always fault-free). --------------
-        let victim = TenantId::new("victim");
-        let victim_session = self.rent_with_retries(&victim)?;
-        let victim_device = victim_session.device_id();
-        let skeleton = Skeleton::place(self.provider.device(&victim_session)?, &specs)?;
-        let truth: Vec<LogicLevel> = (0..skeleton.len())
-            .map(|_| LogicLevel::from_bool(self.rng.gen()))
-            .collect();
-        self.provider
-            .load_design(&victim_session, build_target_design(&skeleton, &truth))?;
-
-        let attacker = TenantId::new("attacker");
-        let squatted = self.provider.rent_all(attacker.clone()).unwrap_or_default();
-
-        self.provider
-            .advance_time(Hours::new(cfg.victim_hours as f64));
-
-        if cfg.victim_hold_and_recover_hours > 0 {
-            self.provider.unload(&victim_session)?;
-            let mut scrubber = fpga_fabric::Design::new("victim-scrubber");
-            scrubber.set_power_watts(crate::designs::CONDITION_WATTS);
-            for (i, entry) in skeleton.entries().iter().enumerate() {
-                scrubber.add_net(
-                    format!("toggle[{i}]"),
-                    fpga_fabric::NetActivity::Duty(bti_physics::DutyCycle::BALANCED),
-                    Some(entry.route.clone()),
-                );
-            }
-            self.provider.load_design(&victim_session, scrubber)?;
-            self.provider
-                .advance_time(Hours::new(cfg.victim_hold_and_recover_hours as f64));
-        }
-
-        self.provider.unload(&victim_session)?;
-        self.provider.release(victim_session)?; // scrub happens here
-
-        // --- Flash attack: reacquire the victim's exact board. -----------
-        // The attacker has no pre-victim fingerprint, so this first
-        // reacquisition leans on the squat (every other board is held);
-        // the fingerprint captured here guards all later reacquisitions.
-        let mut impostors: Vec<Session> = Vec::new();
-        let mut reacquired = None;
-        for _ in 0..self.config.retry.max_attempts {
-            let session = self.rent_with_retries(&attacker)?;
-            if session.device_id() == victim_device {
-                reacquired = Some(session);
-                break;
-            }
-            self.stats.impostors_rejected += 1;
-            impostors.push(session);
-        }
-        for s in impostors {
-            release_best_effort(&mut self.provider, s);
-        }
-        for s in squatted {
-            release_best_effort(&mut self.provider, s);
-        }
-        let session = reacquired.ok_or(PentimentoError::VictimDeviceLost)?;
-
-        let sensors = if cfg.mode == MeasurementMode::Tdc {
-            self.place_and_calibrate(&session, &skeleton)?
-        } else {
-            Vec::new()
-        };
-
-        let fingerprint = DeviceFingerprint::capture(self.provider.device(&session)?, &skeleton);
-        self.note_fingerprint(victim_device, "capture");
-        self.run = RunState {
-            victim_device,
-            session: Some(session),
-            readings: vec![Vec::new(); skeleton.len()],
-            skeleton,
-            truth,
-            sensors,
-            hours_log: Vec::new(),
-            hour: 0,
-            attack_design: AttackDesign::Condition(cfg.condition_level),
-            fingerprint,
-        };
-
-        self.record(0.0)?;
-        let session = self.current_session()?;
-        self.load_attack_design(&session)?;
-        Ok(())
-    }
-
-    /// Arms the hostile fault plans for the attack window. Scheduled
-    /// fault times rebase from "hours into the attack" onto provider
-    /// time.
-    fn arm(&mut self) {
-        let mut plan = self.config.fault_plan.clone();
-        let epoch = self.provider.now();
-        for fault in &mut plan.schedule {
-            fault.at = Hours::new(fault.at.value() + epoch.value());
-        }
-        self.provider.set_fault_plan(plan);
-        for sensor in &mut self.run.sensors {
-            sensor.set_fault_plan(self.config.sensor_faults.clone());
-        }
-        self.armed = true;
-        self.note_phase("arm");
-    }
-
-    /// Emits a `FingerprintVerified` event keyed at the current provider
-    /// time.
-    fn note_fingerprint(&self, device: DeviceId, what: &str) {
-        if let Some(r) = self.obs() {
-            r.event(
-                CampaignEvent::new(EventKind::FingerprintVerified, self.provider.now().value())
-                    .value(f64::from(device.0))
-                    .detail(what),
-            );
-        }
-    }
-
-    /// Places one sensor per skeleton route, then calibrates them in
-    /// parallel from per-sensor derived streams
-    /// (`stream_seed(mission_seed, i, STREAM_CALIBRATE)`) — bit-identical
-    /// to the plain drivers' [`tdc::TdcArray::calibrate_all_streamed`] at
-    /// every thread count.
-    fn place_and_calibrate(
-        &self,
-        session: &Session,
-        skeleton: &Skeleton,
-    ) -> Result<Vec<TdcSensor>, PentimentoError> {
-        let device = self.provider.device(session)?;
-        let mut sensors = Vec::with_capacity(skeleton.len());
-        for entry in skeleton.entries() {
-            sensors.push(TdcSensor::place(
-                device,
-                entry.route.clone(),
-                TdcConfig::cloud(),
-            )?);
-        }
-        let master = self.mission.seed();
-        sensors
-            .par_iter_mut()
-            .enumerate()
-            .map(|(i, sensor)| {
-                let mut rng =
-                    StdRng::seed_from_u64(stream_seed(master, i as u64, STREAM_CALIBRATE));
-                sensor.calibrate(device, &mut rng)
-            })
-            .collect::<Result<Vec<f64>, tdc::TdcError>>()?;
-        Ok(sensors)
+        provider.set_recorder(recorder);
+        let attack = AttackLoop::start(&mut provider, mission, config)?;
+        Ok(Self { provider, attack })
     }
 
     /// Completed attack-window hours so far.
     #[must_use]
     pub fn hour(&self) -> usize {
-        self.run.hour
+        self.attack.run.hour
     }
 
     /// Whether every attack-window hour has elapsed.
     #[must_use]
     pub fn is_complete(&self) -> bool {
-        self.run.hour >= self.mission.attack_hours()
+        self.attack.run.hour >= self.attack.mission.attack_hours()
     }
 
     /// Resilience counters so far.
     #[must_use]
     pub fn stats(&self) -> &CampaignStats {
-        &self.stats
+        &self.attack.stats
     }
 
-    /// Attaches (or detaches) a telemetry recorder mid-campaign, sharing
-    /// it with the provider. Results are bit-identical either way.
+    /// Attaches (or detaches) a telemetry recorder mid-campaign (it
+    /// lives on the provider). Results are bit-identical either way.
     pub fn set_recorder(&mut self, recorder: Option<Arc<Recorder>>) {
-        self.provider.set_recorder(recorder.clone());
-        self.recorder = recorder;
+        self.provider.set_recorder(recorder);
     }
 
     /// The attached telemetry recorder, if any.
     #[must_use]
     pub fn recorder(&self) -> Option<&Arc<Recorder>> {
-        self.recorder.as_ref()
-    }
-
-    fn obs(&self) -> Option<&Recorder> {
-        self.recorder.as_deref()
-    }
-
-    /// Emits a `PhaseTransition` event keyed at the current provider time.
-    fn note_phase(&self, name: &str) {
-        if let Some(r) = self.obs() {
-            r.event(
-                CampaignEvent::new(EventKind::PhaseTransition, self.provider.now().value())
-                    .detail(name),
-            );
-        }
+        self.provider.recorder()
     }
 
     /// The provider (ledger and fleet introspection).
@@ -776,7 +538,7 @@ impl Campaign {
     /// fleet supervisor keys its per-device circuit breakers by.
     #[must_use]
     pub fn victim_device(&self) -> DeviceId {
-        self.run.victim_device
+        self.attack.run.victim_device
     }
 
     /// Advances one attack-window hour: step the world, repair whatever
@@ -794,20 +556,7 @@ impl Campaign {
     ///
     /// Fatal (non-transient) failures and exhausted retry budgets.
     pub fn step(&mut self) -> Result<bool, PentimentoError> {
-        let total = self.mission.attack_hours();
-        if self.run.hour >= total {
-            return Ok(false);
-        }
-        self.provider.advance_time(Hours::new(1.0));
-        self.run.hour += 1;
-        // Faults fire at the end of `advance_time`; repairing before any
-        // further time passes means a survived fault costs zero
-        // conditioning hours (the transparency the proptests pin down).
-        self.ensure_session()?;
-        if self.run.hour.is_multiple_of(self.mission.measure_every()) {
-            self.record(self.run.hour as f64)?;
-        }
-        Ok(self.run.hour < total)
+        self.attack.step(&mut self.provider)
     }
 
     /// Runs every remaining hour, then classifies.
@@ -816,100 +565,7 @@ impl Campaign {
     ///
     /// Fatal failures from stepping or series construction.
     pub fn run(&mut self) -> Result<CampaignOutcome, PentimentoError> {
-        while self.step()? {}
-        self.finalize()
-    }
-
-    /// Releases the lease and turns the recorded series into verdicts.
-    fn finalize(&mut self) -> Result<CampaignOutcome, PentimentoError> {
-        self.note_phase("classify");
-        if let Some(session) = self.run.session.take() {
-            // A preemption on the very last step may have revoked the
-            // lease already; that is not a campaign failure.
-            match self.provider.unload(&session) {
-                Ok(_) | Err(CloudError::SessionRevoked) => {}
-                Err(e) => return Err(e.into()),
-            }
-            match self.provider.release(session) {
-                Ok(()) | Err(CloudError::SessionRevoked) => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-
-        let mut series = Vec::with_capacity(self.run.skeleton.len());
-        for (i, entry) in self.run.skeleton.entries().iter().enumerate() {
-            let observations: Vec<(f64, Option<f64>)> = self
-                .run
-                .hours_log
-                .iter()
-                .copied()
-                .zip(self.run.readings[i].iter().copied())
-                .collect();
-            series.push(RouteSeries::from_observations(
-                i,
-                entry.target_ps,
-                self.run.truth[i],
-                &observations,
-            )?);
-        }
-
-        let (recovered, scored) = match &self.mission {
-            Mission::ThreatModel1(_) => {
-                let classifier = DriftSlopeClassifier::new();
-                (
-                    classifier.classify_all(&series),
-                    classifier.classify_all_scored(&series),
-                )
-            }
-            Mission::ThreatModel2(cfg) => {
-                let reference = self.provider.device_by_id(self.run.victim_device)?;
-                let burn_temp = reference
-                    .thermal()
-                    .die_temperature(crate::designs::ARITHMETIC_HEAVY_WATTS);
-                let attack_temp = reference
-                    .thermal()
-                    .die_temperature(crate::designs::CONDITION_WATTS);
-                let classifier = RecoverySlopeClassifier::calibrated(
-                    reference.bti_model(),
-                    cfg.victim_hours as f64,
-                    cfg.attack_hours as f64,
-                    burn_temp,
-                    attack_temp,
-                    reference.wear_factor(),
-                );
-                (
-                    classifier.classify_all(&series),
-                    classifier.classify_all_scored(&series),
-                )
-            }
-        };
-        self.stats.abstained = scored.iter().filter(|c| c.verdict.is_abstain()).count();
-        self.stats.non_finite_statistics =
-            scored.iter().filter(|c| !c.confidence.is_finite()).count();
-        self.stats.faults_injected = self.provider.ledger().faults().len();
-        if let Some(r) = self.obs() {
-            let at = self.provider.now().value();
-            for (route, classified) in scored.iter().enumerate() {
-                if classified.verdict.is_abstain() {
-                    r.event(
-                        CampaignEvent::new(EventKind::Abstain, at)
-                            .route(route as u64)
-                            .value(classified.confidence),
-                    );
-                }
-            }
-            r.incr("campaign.abstained", self.stats.abstained as u64);
-            r.incr("campaign.routes_classified", scored.len() as u64);
-        }
-        let metrics = RecoveryMetrics::score(&series, &recovered);
-        Ok(CampaignOutcome {
-            series,
-            recovered,
-            scored,
-            truth: self.run.truth.clone(),
-            metrics,
-            stats: self.stats,
-        })
+        self.attack.run(&mut self.provider)
     }
 
     // ------------------------------------------------------------------
@@ -920,16 +576,17 @@ impl Campaign {
     /// the integrity seal a checkpoint carries.
     #[must_use]
     pub fn manifest_json(&self) -> String {
+        let a = &self.attack;
         format!(
             concat!(
                 "{{\"version\":1,\"mission\":\"{}\",\"hour\":{},",
                 "\"measurements\":{},\"routes\":{},\"fingerprint\":\"{:#018x}\"}}"
             ),
-            self.mission.tag(),
-            self.run.hour,
-            self.run.hours_log.len(),
-            self.run.skeleton.len(),
-            self.run.fingerprint.digest(),
+            a.mission.tag(),
+            a.run.hour,
+            a.run.hours_log.len(),
+            a.run.skeleton.len(),
+            a.run.fingerprint.digest(),
         )
     }
 
@@ -946,19 +603,20 @@ impl Campaign {
     /// longer matches.
     #[must_use]
     pub fn state_checksum(&self) -> u64 {
+        let a = &self.attack;
         let mut d = StateDigest::new();
         // Mission identity and position.
-        d.str(self.mission.tag());
-        d.u64(self.mission.seed());
-        d.u64(self.mission.attack_hours() as u64);
-        d.u64(self.run.hour as u64);
+        d.str(a.mission.tag());
+        d.u64(a.mission.seed());
+        d.u64(a.mission.attack_hours() as u64);
+        d.u64(a.run.hour as u64);
         // Recorded evidence: hours log and the gap-tolerant readings.
-        d.u64(self.run.hours_log.len() as u64);
-        for &h in &self.run.hours_log {
+        d.u64(a.run.hours_log.len() as u64);
+        for &h in &a.run.hours_log {
             d.f64(h);
         }
-        d.u64(self.run.readings.len() as u64);
-        for route in &self.run.readings {
+        d.u64(a.run.readings.len() as u64);
+        for route in &a.run.readings {
             d.u64(route.len() as u64);
             for reading in route {
                 match reading {
@@ -971,16 +629,16 @@ impl Campaign {
             }
         }
         // Ground truth and physical identity.
-        d.u64(self.run.truth.len() as u64);
-        for &bit in &self.run.truth {
+        d.u64(a.run.truth.len() as u64);
+        for &bit in &a.run.truth {
             d.u64(match bit {
                 LogicLevel::One => 1,
                 LogicLevel::Zero => 0,
             });
         }
-        d.u64(u64::from(self.run.victim_device.0));
-        d.u64(self.run.fingerprint.digest());
-        match self.run.attack_design {
+        d.u64(u64::from(a.run.victim_device.0));
+        d.u64(a.run.fingerprint.digest());
+        match a.run.attack_design {
             AttackDesign::Afi(id) => {
                 d.u64(1);
                 d.u64(id.0);
@@ -993,26 +651,26 @@ impl Campaign {
                 });
             }
         }
-        d.u64(u64::from(self.run.session.is_some()));
+        d.u64(u64::from(a.run.session.is_some()));
         // Resilience counters.
-        d.u64(u64::from(self.stats.rent_retries));
-        d.u64(u64::from(self.stats.measurement_retries));
-        d.u64(u64::from(self.stats.reacquisitions));
-        d.u64(u64::from(self.stats.impostors_rejected));
-        d.u64(u64::from(self.stats.scrub_reloads));
-        d.u64(self.stats.degraded_points as u64);
-        d.u64(self.stats.dropped_points as u64);
-        d.f64(self.stats.backoff_seconds);
-        d.u64(self.stats.abstained as u64);
-        d.u64(self.stats.non_finite_statistics as u64);
-        d.u64(self.stats.faults_injected as u64);
+        d.u64(u64::from(a.stats.rent_retries));
+        d.u64(u64::from(a.stats.measurement_retries));
+        d.u64(u64::from(a.stats.reacquisitions));
+        d.u64(u64::from(a.stats.impostors_rejected));
+        d.u64(u64::from(a.stats.scrub_reloads));
+        d.u64(a.stats.degraded_points as u64);
+        d.u64(a.stats.dropped_points as u64);
+        d.f64(a.stats.backoff_seconds);
+        d.u64(a.stats.abstained as u64);
+        d.u64(a.stats.non_finite_statistics as u64);
+        d.u64(a.stats.faults_injected as u64);
         // Randomness and fault-injection position: the exact RNG state
         // and per-kind draw counters that make resume bit-identical.
-        for word in self.rng.state() {
+        for word in a.rng.state() {
             d.u64(word);
         }
-        d.u64(self.backoff_draws);
-        d.u64(u64::from(self.armed));
+        d.u64(a.backoff_draws);
+        d.u64(u64::from(a.armed));
         d.f64(self.provider.now().value());
         let faults = self.provider.fault_state();
         for kind in FaultKind::ALL {
@@ -1027,11 +685,11 @@ impl Campaign {
     /// counters, readings — sealed with [`manifest_json`](Self::manifest_json).
     #[must_use]
     pub fn checkpoint(&self) -> CampaignCheckpoint {
-        if let Some(r) = self.obs() {
+        if let Some(r) = recorder_of(&self.provider) {
             r.event(
                 CampaignEvent::new(EventKind::CheckpointWrite, self.provider.now().value())
-                    .value(self.run.hours_log.len() as f64)
-                    .detail(self.mission.tag()),
+                    .value(self.attack.run.hours_log.len() as f64)
+                    .detail(self.attack.mission.tag()),
             );
             r.incr("campaign.checkpoints", 1);
         }
@@ -1071,6 +729,374 @@ impl Campaign {
         }
         Ok(checkpoint.campaign)
     }
+}
+
+/// The provider's recorder, borrowed for one emission.
+fn recorder_of(provider: &Provider) -> Option<&Recorder> {
+    provider.recorder().map(Arc::as_ref)
+}
+
+/// Emits a `PhaseTransition` event keyed at the current provider time.
+fn note_phase(provider: &Provider, name: &str) {
+    if let Some(r) = recorder_of(provider) {
+        r.event(
+            CampaignEvent::new(EventKind::PhaseTransition, provider.now().value()).detail(name),
+        );
+    }
+}
+
+/// Emits a `FingerprintVerified` event keyed at the current provider
+/// time.
+fn note_fingerprint(provider: &Provider, device: DeviceId, what: &str) {
+    if let Some(r) = recorder_of(provider) {
+        r.event(
+            CampaignEvent::new(EventKind::FingerprintVerified, provider.now().value())
+                .value(f64::from(device.0))
+                .detail(what),
+        );
+    }
+}
+
+impl AttackLoop {
+    /// Runs the mission's deterministic prologue on a clean provider,
+    /// then arms the hostile fault plans for the attack window.
+    fn start(
+        provider: &mut Provider,
+        mission: Mission,
+        config: CampaignConfig,
+    ) -> Result<Self, PentimentoError> {
+        let mut attack = Self {
+            rng: StdRng::seed_from_u64(mission.seed()),
+            mission,
+            config,
+            run: RunState {
+                session: None,
+                skeleton: Skeleton::empty(),
+                truth: Vec::new(),
+                sensors: Vec::new(),
+                hours_log: Vec::new(),
+                readings: Vec::new(),
+                hour: 0,
+                attack_design: AttackDesign::Condition(LogicLevel::Zero),
+                victim_device: DeviceId(0),
+                fingerprint: DeviceFingerprint {
+                    route_rise_ps: Vec::new(),
+                },
+            },
+            stats: CampaignStats::default(),
+            backoff_draws: 0,
+            armed: false,
+        };
+        match attack.mission.clone() {
+            Mission::ThreatModel1(_) => attack.setup_tm1(provider)?,
+            Mission::ThreatModel2(cfg) => attack.setup_tm2(provider, &cfg)?,
+        }
+        attack.arm(provider);
+        Ok(attack)
+    }
+
+    /// Threat Model 1 prologue (Section 2): the vendor publishes a sealed
+    /// AFI whose constants are the secret `X`; the attacker rents an
+    /// instance, reconstructs the route skeleton (Assumption 1), takes
+    /// the pre-burn baseline, and loads the AFI.
+    fn setup_tm1(&mut self, provider: &mut Provider) -> Result<(), PentimentoError> {
+        note_phase(provider, "setup:tm1");
+        let attacker = TenantId::new("attacker");
+        let session = self.rent_with_retries(provider, &attacker)?;
+
+        // Skeleton is derived from the device profile — both the vendor
+        // and the attacker compute the same one (Assumption 1).
+        let specs = self.mission.specs();
+        let skeleton = Skeleton::place(provider.device(&session)?, &specs)?;
+        let truth: Vec<LogicLevel> = (0..skeleton.len())
+            .map(|_| LogicLevel::from_bool(self.rng.gen()))
+            .collect();
+        let vendor = TenantId::new("vendor");
+        let afi = provider.marketplace_mut().publish(
+            vendor,
+            build_target_design(&skeleton, &truth),
+            true,
+        );
+        // The seal holds: the attacker cannot read the design.
+        if provider.marketplace().get(afi)?.inspect(&attacker).is_ok() {
+            return Err(PentimentoError::InvalidConfig(
+                "marketplace seal broken: the attack must not read the AFI".to_owned(),
+            ));
+        }
+
+        let sensors = self.place_sensors(provider, &session, &skeleton)?;
+        let fingerprint = DeviceFingerprint::capture(provider.device(&session)?, &skeleton);
+        note_fingerprint(provider, session.device_id(), "capture");
+        self.run = RunState {
+            victim_device: session.device_id(),
+            session: Some(session),
+            readings: vec![Vec::new(); skeleton.len()],
+            skeleton,
+            truth,
+            sensors,
+            hours_log: Vec::new(),
+            hour: 0,
+            attack_design: AttackDesign::Afi(afi),
+            fingerprint,
+        };
+
+        // Pre-burn baseline (clean epoch), then load the sealed AFI.
+        self.record(provider, 0.0)?;
+        let session = self.current_session()?;
+        provider.load_afi(&session, afi)?;
+        Ok(())
+    }
+
+    /// Threat Model 2 prologue (Section 2): the victim computes on secret
+    /// `X` for `victim_hours` (optionally holding and toggling the routes
+    /// before leaving), the provider scrubs the board on release, and the
+    /// attacker — squatting on the rest of the region — reacquires it,
+    /// takes the hour-zero reading, and conditions every route to
+    /// `condition_level`.
+    fn setup_tm2(
+        &mut self,
+        provider: &mut Provider,
+        cfg: &ThreatModel2Config,
+    ) -> Result<(), PentimentoError> {
+        note_phase(provider, "setup:tm2");
+        let specs = self.mission.specs();
+
+        // --- Victim epoch (unobserved; always fault-free). --------------
+        let victim = TenantId::new("victim");
+        let victim_session = self.rent_with_retries(provider, &victim)?;
+        let victim_device = victim_session.device_id();
+        let skeleton = Skeleton::place(provider.device(&victim_session)?, &specs)?;
+        let truth: Vec<LogicLevel> = (0..skeleton.len())
+            .map(|_| LogicLevel::from_bool(self.rng.gen()))
+            .collect();
+        provider.load_design(&victim_session, build_target_design(&skeleton, &truth))?;
+
+        // The attacker squats on every other device while the victim works.
+        let attacker = TenantId::new("attacker");
+        let squatted = provider.rent_all(attacker.clone()).unwrap_or_default();
+
+        provider.advance_time(Hours::new(cfg.victim_hours as f64));
+
+        // Optional victim-side mitigation: hold the instance and toggle
+        // the sensitive routes before giving the board back.
+        if cfg.victim_hold_and_recover_hours > 0 {
+            provider.unload(&victim_session)?;
+            let mut scrubber = fpga_fabric::Design::new("victim-scrubber");
+            scrubber.set_power_watts(crate::designs::CONDITION_WATTS);
+            for (i, entry) in skeleton.entries().iter().enumerate() {
+                scrubber.add_net(
+                    format!("toggle[{i}]"),
+                    fpga_fabric::NetActivity::Duty(bti_physics::DutyCycle::BALANCED),
+                    Some(entry.route.clone()),
+                );
+            }
+            provider.load_design(&victim_session, scrubber)?;
+            provider.advance_time(Hours::new(cfg.victim_hold_and_recover_hours as f64));
+        }
+
+        provider.unload(&victim_session)?;
+        provider.release(victim_session)?; // scrub happens here
+
+        // --- Flash attack: reacquire the victim's exact board. -----------
+        // The attacker has no pre-victim fingerprint, so this first
+        // reacquisition leans on the squat (every other board is held);
+        // the fingerprint captured here guards all later reacquisitions.
+        let mut impostors: Vec<Session> = Vec::new();
+        let mut reacquired = None;
+        for _ in 0..self.config.retry.max_attempts {
+            let session = self.rent_with_retries(provider, &attacker)?;
+            if session.device_id() == victim_device {
+                reacquired = Some(session);
+                break;
+            }
+            self.stats.impostors_rejected += 1;
+            impostors.push(session);
+        }
+        for s in impostors {
+            release_best_effort(provider, s);
+        }
+        for s in squatted {
+            release_best_effort(provider, s);
+        }
+        let session = reacquired.ok_or(PentimentoError::VictimDeviceLost)?;
+
+        // Calibration against the device here never observes pre-victim
+        // state: the victim is already gone.
+        let sensors = self.place_sensors(provider, &session, &skeleton)?;
+        let fingerprint = DeviceFingerprint::capture(provider.device(&session)?, &skeleton);
+        note_fingerprint(provider, victim_device, "capture");
+        self.run = RunState {
+            victim_device,
+            session: Some(session),
+            readings: vec![Vec::new(); skeleton.len()],
+            skeleton,
+            truth,
+            sensors,
+            hours_log: Vec::new(),
+            hour: 0,
+            attack_design: AttackDesign::Condition(cfg.condition_level),
+            fingerprint,
+        };
+
+        self.record(provider, 0.0)?;
+        let session = self.current_session()?;
+        self.load_attack_design(provider, &session)?;
+        Ok(())
+    }
+
+    /// In TDC mode, places one sensor per skeleton route as one bank and
+    /// calibrates it in parallel, sensor `i` from the derived stream
+    /// `stream_seed(mission_seed, i, STREAM_CALIBRATE)`. Oracle mode
+    /// needs no sensors.
+    fn place_sensors(
+        &self,
+        provider: &Provider,
+        session: &Session,
+        skeleton: &Skeleton,
+    ) -> Result<Vec<TdcSensor>, PentimentoError> {
+        if self.mission.mode() == MeasurementMode::Oracle {
+            return Ok(Vec::new());
+        }
+        let device = provider.device(session)?;
+        let mut bank = TdcArray::place(device, skeleton.routes().cloned(), TdcConfig::cloud())?;
+        bank.calibrate_all_streamed_observed(device, self.mission.seed(), recorder_of(provider))?;
+        Ok(bank.into_sensors())
+    }
+
+    /// Arms the hostile fault plans for the attack window. Scheduled
+    /// fault times rebase from "hours into the attack" onto provider
+    /// time.
+    fn arm(&mut self, provider: &mut Provider) {
+        let mut plan = self.config.fault_plan.clone();
+        let epoch = provider.now();
+        for fault in &mut plan.schedule {
+            fault.at = Hours::new(fault.at.value() + epoch.value());
+        }
+        provider.set_fault_plan(plan);
+        for sensor in &mut self.run.sensors {
+            sensor.set_fault_plan(self.config.sensor_faults.clone());
+        }
+        self.armed = true;
+        note_phase(provider, "arm");
+    }
+
+    /// One attack-window hour; see [`Campaign::step`].
+    fn step(&mut self, provider: &mut Provider) -> Result<bool, PentimentoError> {
+        let total = self.mission.attack_hours();
+        if self.run.hour >= total {
+            return Ok(false);
+        }
+        provider.advance_time(Hours::new(1.0));
+        self.run.hour += 1;
+        // Faults fire at the end of `advance_time`; repairing before any
+        // further time passes means a survived fault costs zero
+        // conditioning hours (the transparency the proptests pin down).
+        self.ensure_session(provider)?;
+        if self.run.hour.is_multiple_of(self.mission.measure_every()) {
+            self.record(provider, self.run.hour as f64)?;
+        }
+        Ok(self.run.hour < total)
+    }
+
+    /// Every remaining hour, then the verdicts.
+    fn run(&mut self, provider: &mut Provider) -> Result<CampaignOutcome, PentimentoError> {
+        while self.step(provider)? {}
+        self.finalize(provider)
+    }
+
+    /// Releases the lease and turns the recorded series into verdicts.
+    fn finalize(&mut self, provider: &mut Provider) -> Result<CampaignOutcome, PentimentoError> {
+        note_phase(provider, "classify");
+        if let Some(session) = self.run.session.take() {
+            // A preemption on the very last step may have revoked the
+            // lease already; that is not a campaign failure.
+            match provider.unload(&session) {
+                Ok(_) | Err(CloudError::SessionRevoked) => {}
+                Err(e) => return Err(e.into()),
+            }
+            match provider.release(session) {
+                Ok(()) | Err(CloudError::SessionRevoked) => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+
+        let mut series = Vec::with_capacity(self.run.skeleton.len());
+        for (i, entry) in self.run.skeleton.entries().iter().enumerate() {
+            let observations: Vec<(f64, Option<f64>)> = self
+                .run
+                .hours_log
+                .iter()
+                .copied()
+                .zip(self.run.readings[i].iter().copied())
+                .collect();
+            series.push(RouteSeries::from_observations(
+                i,
+                entry.target_ps,
+                self.run.truth[i],
+                &observations,
+            )?);
+        }
+
+        let (recovered, scored) = match &self.mission {
+            Mission::ThreatModel1(_) => {
+                let classifier = DriftSlopeClassifier::new();
+                (
+                    classifier.classify_all(&series),
+                    classifier.classify_all_scored(&series),
+                )
+            }
+            Mission::ThreatModel2(cfg) => {
+                // Threshold calibrated from the attacker's own reference
+                // model of the device class (no victim data involved).
+                let reference = provider.device_by_id(self.run.victim_device)?;
+                let burn_temp = reference
+                    .thermal()
+                    .die_temperature(crate::designs::ARITHMETIC_HEAVY_WATTS);
+                let attack_temp = reference
+                    .thermal()
+                    .die_temperature(crate::designs::CONDITION_WATTS);
+                let classifier = RecoverySlopeClassifier::calibrated(
+                    reference.bti_model(),
+                    cfg.victim_hours as f64,
+                    cfg.attack_hours as f64,
+                    burn_temp,
+                    attack_temp,
+                    reference.wear_factor(),
+                );
+                (
+                    classifier.classify_all(&series),
+                    classifier.classify_all_scored(&series),
+                )
+            }
+        };
+        self.stats.abstained = scored.iter().filter(|c| c.verdict.is_abstain()).count();
+        self.stats.non_finite_statistics =
+            scored.iter().filter(|c| !c.confidence.is_finite()).count();
+        self.stats.faults_injected = provider.ledger().faults().len();
+        if let Some(r) = recorder_of(provider) {
+            let at = provider.now().value();
+            for (route, classified) in scored.iter().enumerate() {
+                if classified.verdict.is_abstain() {
+                    r.event(
+                        CampaignEvent::new(EventKind::Abstain, at)
+                            .route(route as u64)
+                            .value(classified.confidence),
+                    );
+                }
+            }
+            r.incr("campaign.abstained", self.stats.abstained as u64);
+            r.incr("campaign.routes_classified", scored.len() as u64);
+        }
+        let metrics = RecoveryMetrics::score(&series, &recovered);
+        Ok(CampaignOutcome {
+            series,
+            recovered,
+            scored,
+            truth: self.run.truth.clone(),
+            metrics,
+            stats: self.stats,
+        })
+    }
 
     // ------------------------------------------------------------------
     // Recovery machinery
@@ -1085,24 +1111,24 @@ impl Campaign {
 
     /// Verifies the lease still stands and the attack design is still
     /// loaded, repairing both if the hostile cloud intervened.
-    fn ensure_session(&mut self) -> Result<(), PentimentoError> {
+    fn ensure_session(&mut self, provider: &mut Provider) -> Result<(), PentimentoError> {
         let session = match &self.run.session {
             Some(s) => s.clone(),
-            None => return self.reacquire(),
+            None => return self.reacquire(provider),
         };
-        match self.provider.device(&session) {
+        match provider.device(&session) {
             Ok(device) => {
                 if device.loaded_design().is_none() {
                     // Spurious scrub: the lease survived, the design did
                     // not. The analog imprint is untouched — reload.
                     self.stats.scrub_reloads += 1;
-                    self.load_attack_design(&session)?;
+                    self.load_attack_design(provider, &session)?;
                 }
                 Ok(())
             }
             Err(CloudError::SessionRevoked) => {
                 self.run.session = None;
-                self.reacquire()
+                self.reacquire(provider)
             }
             Err(e) => Err(e.into()),
         }
@@ -1110,14 +1136,14 @@ impl Campaign {
 
     /// Wins the device back after a preemption: rent, fingerprint, and
     /// squat on impostors until the right silicon comes home.
-    fn reacquire(&mut self) -> Result<(), PentimentoError> {
+    fn reacquire(&mut self, provider: &mut Provider) -> Result<(), PentimentoError> {
         let tenant = TenantId::new("attacker");
         let mut impostors: Vec<Session> = Vec::new();
         let mut outcome: Result<Session, PentimentoError> = Err(PentimentoError::VictimDeviceLost);
         for attempt in 1..=self.config.retry.max_attempts {
-            match self.provider.rent(tenant.clone()) {
+            match provider.rent(tenant.clone()) {
                 Ok(session) => {
-                    let device = self.provider.device(&session)?;
+                    let device = provider.device(&session)?;
                     if self.run.fingerprint.matches(
                         device,
                         &self.run.skeleton,
@@ -1128,11 +1154,11 @@ impl Campaign {
                     }
                     self.stats.impostors_rejected += 1;
                     impostors.push(session);
-                    self.note_backoff(attempt);
+                    self.note_backoff(provider, attempt);
                 }
                 Err(e) if e.is_transient() => {
                     self.stats.rent_retries += 1;
-                    self.note_backoff(attempt);
+                    self.note_backoff(provider, attempt);
                 }
                 Err(e) => {
                     outcome = Err(e.into());
@@ -1141,13 +1167,13 @@ impl Campaign {
             }
         }
         for s in impostors {
-            release_best_effort(&mut self.provider, s);
+            release_best_effort(provider, s);
         }
         match outcome {
             Ok(session) => {
                 self.stats.reacquisitions += 1;
-                self.note_fingerprint(session.device_id(), "reacquire");
-                self.load_attack_design(&session)?;
+                note_fingerprint(provider, session.device_id(), "reacquire");
+                self.load_attack_design(provider, &session)?;
                 self.run.session = Some(session);
                 Ok(())
             }
@@ -1160,26 +1186,34 @@ impl Campaign {
         }
     }
 
-    fn load_attack_design(&mut self, session: &Session) -> Result<(), PentimentoError> {
+    fn load_attack_design(
+        &self,
+        provider: &mut Provider,
+        session: &Session,
+    ) -> Result<(), PentimentoError> {
         match self.run.attack_design {
-            AttackDesign::Afi(afi) => self.provider.load_afi(session, afi)?,
+            AttackDesign::Afi(afi) => provider.load_afi(session, afi)?,
             AttackDesign::Condition(level) => {
                 let design = build_condition_design(&self.run.skeleton, level);
-                self.provider.load_design(session, design)?;
+                provider.load_design(session, design)?;
             }
         }
         Ok(())
     }
 
-    fn rent_with_retries(&mut self, tenant: &TenantId) -> Result<Session, PentimentoError> {
+    fn rent_with_retries(
+        &mut self,
+        provider: &mut Provider,
+        tenant: &TenantId,
+    ) -> Result<Session, PentimentoError> {
         let mut last = PentimentoError::Cloud(CloudError::CapacityExhausted);
         for attempt in 1..=self.config.retry.max_attempts {
-            match self.provider.rent(tenant.clone()) {
+            match provider.rent(tenant.clone()) {
                 Ok(session) => return Ok(session),
                 Err(e) if e.is_transient() => {
                     self.stats.rent_retries += 1;
                     last = e.into();
-                    self.note_backoff(attempt);
+                    self.note_backoff(provider, attempt);
                 }
                 Err(e) => return Err(e.into()),
             }
@@ -1191,12 +1225,12 @@ impl Campaign {
         })
     }
 
-    fn note_backoff(&mut self, attempt: u32) {
+    fn note_backoff(&mut self, provider: &Provider, attempt: u32) {
         let wait = self.config.retry.backoff_s(attempt, self.backoff_draws);
         self.backoff_draws += 1;
         self.stats.backoff_seconds += wait;
-        if let Some(r) = self.obs() {
-            let at = self.provider.now().value();
+        if let Some(r) = recorder_of(provider) {
+            let at = provider.now().value();
             r.event(
                 CampaignEvent::new(EventKind::Retry, at)
                     .value(f64::from(attempt))
@@ -1221,16 +1255,16 @@ impl Campaign {
     /// Each route draws from its own
     /// `stream_seed(mission_seed, route, STREAM_MEASURE + phase)` stream
     /// (the phase index is the count of measurements already recorded),
-    /// which makes the benign path bit-identical to the plain drivers'
-    /// [`tdc::TdcArray::measure_deltas_streamed`] and the hostile path
-    /// independent of scheduling order. Results merge serially in route
-    /// order, so stats accumulate and the first fatal error on the
+    /// so the readings are independent of scheduling order and
+    /// bit-identical at every thread count. Results merge serially in
+    /// route order, so stats accumulate and the first fatal error on the
     /// lowest-indexed route wins deterministically.
-    fn record(&mut self, hour: f64) -> Result<(), PentimentoError> {
+    fn record(&mut self, provider: &Provider, hour: f64) -> Result<(), PentimentoError> {
         let session = self.current_session()?;
         let phase = self.run.hours_log.len() as u64;
         self.run.hours_log.push(hour);
-        if let Some(r) = self.obs() {
+        let recorder = recorder_of(provider);
+        if let Some(r) = recorder {
             r.event(
                 CampaignEvent::new(EventKind::PhaseTransition, hour)
                     .value(phase as f64)
@@ -1238,9 +1272,9 @@ impl Campaign {
             );
             r.incr("campaign.measurement_phases", 1);
         }
+        let device = provider.device(&session)?;
         match self.mission.mode() {
             MeasurementMode::Oracle => {
-                let device = self.provider.device(&session)?;
                 let values = crate::experiment::oracle_deltas(device, &self.run.skeleton);
                 for (per_route, value) in self.run.readings.iter_mut().zip(values) {
                     per_route.push(Some(value));
@@ -1250,25 +1284,28 @@ impl Campaign {
                 let repeats = self.mission.measurement_repeats();
                 // The robust (quorum + MAD) aggregation path is engaged
                 // exactly when the sensor fault model is: on clean traces
-                // the plain estimator is the attacker's optimum, and
-                // keeping it there makes a benign campaign byte-identical
-                // to the plain drivers.
+                // the plain estimator is the attacker's optimum.
                 let robust = self.armed && !self.config.sensor_faults.is_benign();
                 let master = self.mission.seed();
                 let quorum = self.config.robust_min_quorum;
                 let retry = self.config.retry;
-                let device = self.provider.device(&session)?;
-                let points: Vec<Result<RoutePoint, PentimentoError>> = self
-                    .run
-                    .sensors
-                    .par_iter()
-                    .enumerate()
-                    .map(|(i, sensor)| {
-                        measure_route(
-                            device, sensor, i, phase, master, repeats, robust, quorum, &retry,
-                        )
-                    })
-                    .collect();
+                let points: Vec<Result<RoutePoint, PentimentoError>> = {
+                    let _span = recorder.map(|r| r.span("tdc.measure_batch"));
+                    self.run
+                        .sensors
+                        .par_iter()
+                        .enumerate()
+                        .map(|(i, sensor)| {
+                            measure_route(
+                                device, sensor, i, phase, master, repeats, robust, quorum, &retry,
+                            )
+                        })
+                        .collect()
+                };
+                if let Some(r) = recorder {
+                    r.incr("tdc.batched_reads", 1);
+                    r.incr("tdc.sensor_reads", (points.len() * repeats) as u64);
+                }
                 for (i, point) in points.into_iter().enumerate() {
                     let point = point?;
                     self.stats.measurement_retries += point.retries;
@@ -1282,7 +1319,7 @@ impl Campaign {
                     // route-ordered merge — never from the parallel
                     // workers — so event keys are pure data and the trace
                     // is width-invariant.
-                    if let Some(r) = self.obs() {
+                    if let Some(r) = recorder {
                         let route = i as u64;
                         if point.retries > 0 {
                             r.event(
@@ -1449,68 +1486,74 @@ mod tests {
         }
     }
 
-    #[test]
-    fn benign_tm1_campaign_matches_the_plain_driver() {
-        let mut plain = Provider::new(ProviderConfig::aws_f1_like(2, 1));
-        let driver = threat_model1::run(&mut plain, &tm1_config()).unwrap();
-
-        let provider = Provider::new(ProviderConfig::aws_f1_like(2, 1));
-        let mut campaign = Campaign::new(
-            provider,
-            Mission::ThreatModel1(tm1_config()),
-            CampaignConfig::default(),
-        )
-        .unwrap();
-        let outcome = campaign.run().unwrap();
-
-        assert_eq!(outcome.series, driver.series);
-        assert_eq!(outcome.recovered, driver.recovered);
-        assert_eq!(outcome.truth, driver.truth);
-        assert_eq!(outcome.stats.faults_injected, 0);
+    /// FNV-1a of `series_to_csv` plus the recovered bits as a `0`/`1`
+    /// string: the pinned output of one benign run.
+    fn golden(series: &[RouteSeries], recovered: &[LogicLevel]) -> (u64, String) {
+        let mut digest = StateDigest::new();
+        digest.bytes(crate::series_to_csv(series).as_bytes());
+        let bits = recovered
+            .iter()
+            .map(|&bit| if bit == LogicLevel::One { '1' } else { '0' })
+            .collect();
+        (digest.hash, bits)
     }
 
+    /// Pins the benign outputs of both threat models, in both measurement
+    /// modes, to golden values: any change to the attack loop's schedule,
+    /// RNG streams, sensing, or classifier calibration moves a digest or
+    /// a bit.
     #[test]
-    fn benign_tm1_campaign_matches_the_driver_through_the_sensor() {
-        let mut config = tm1_config();
-        config.mode = MeasurementMode::Tdc;
-        config.route_lengths_ps = vec![5_000.0];
-        config.routes_per_length = 2;
-        config.burn_hours = 30;
+    fn benign_runs_reproduce_their_golden_outputs() {
+        let mut tm1_tdc = tm1_config();
+        tm1_tdc.mode = MeasurementMode::Tdc;
+        tm1_tdc.route_lengths_ps = vec![5_000.0];
+        tm1_tdc.routes_per_length = 2;
+        tm1_tdc.burn_hours = 30;
+        let mut tm2_tdc = tm2_config();
+        tm2_tdc.mode = MeasurementMode::Tdc;
+        tm2_tdc.route_lengths_ps = vec![1_000.0, 2_000.0, 5_000.0, 10_000.0];
+        tm2_tdc.routes_per_length = 1;
+        tm2_tdc.attack_hours = 10;
+        tm2_tdc.measurement_repeats = 2;
+        // A seed whose 2 ns route sits close to the calibrated threshold,
+        // so a wrong classifier temperature flips its bit.
+        tm2_tdc.seed = 38;
 
-        let mut plain = Provider::new(ProviderConfig::aws_f1_like(1, 2));
-        let driver = threat_model1::run(&mut plain, &config).unwrap();
-
-        let provider = Provider::new(ProviderConfig::aws_f1_like(1, 2));
-        let mut campaign = Campaign::new(
-            provider,
-            Mission::ThreatModel1(config),
-            CampaignConfig::default(),
-        )
-        .unwrap();
-        let outcome = campaign.run().unwrap();
-        assert_eq!(
-            outcome.series, driver.series,
-            "TDC path must be byte-identical"
-        );
-        assert_eq!(outcome.recovered, driver.recovered);
-    }
-
-    #[test]
-    fn benign_tm2_campaign_matches_the_plain_driver() {
-        let mut plain = Provider::new(ProviderConfig::aws_f1_like(3, 5));
-        let driver = threat_model2::run(&mut plain, &tm2_config()).unwrap();
-
-        let provider = Provider::new(ProviderConfig::aws_f1_like(3, 5));
-        let mut campaign = Campaign::new(
-            provider,
-            Mission::ThreatModel2(tm2_config()),
-            CampaignConfig::default(),
-        )
-        .unwrap();
-        let outcome = campaign.run().unwrap();
-        assert_eq!(outcome.series, driver.series);
-        assert_eq!(outcome.recovered, driver.recovered);
-        assert_eq!(outcome.truth, driver.truth);
+        let tm1 = |devices, seed, config: &ThreatModel1Config| {
+            let mut provider = Provider::new(ProviderConfig::aws_f1_like(devices, seed));
+            let o = threat_model1::run(&mut provider, config).unwrap();
+            golden(&o.series, &o.recovered)
+        };
+        let tm2 = |devices, seed, config: &ThreatModel2Config| {
+            let mut provider = Provider::new(ProviderConfig::aws_f1_like(devices, seed));
+            let o = threat_model2::run(&mut provider, config).unwrap();
+            assert!(o.reacquired_victim_device);
+            golden(&o.series, &o.recovered)
+        };
+        let cases = [
+            (
+                "tm1 oracle",
+                tm1(2, 1, &tm1_config()),
+                0x774a_b6d6_0834_242f,
+                "11010101",
+            ),
+            ("tm1 tdc", tm1(1, 2, &tm1_tdc), 0x154d_844b_1031_697b, "01"),
+            (
+                "tm2 oracle",
+                tm2(3, 5, &tm2_config()),
+                0x0e44_0d67_fe64_9f99,
+                "00110010",
+            ),
+            (
+                "tm2 tdc",
+                tm2(3, 5, &tm2_tdc),
+                0xc944_e6a7_d78b_d44d,
+                "0100",
+            ),
+        ];
+        for (name, actual, digest, bits) in cases {
+            assert_eq!(actual, (digest, bits.to_owned()), "{name}: {actual:#x?}");
+        }
     }
 
     #[test]
@@ -1665,8 +1708,8 @@ mod tests {
 
         // Flip one recorded reading: invisible to the manifest (the
         // measurement *count* is unchanged) but fatal to the checksum.
-        let tampered = checkpoint.campaign.run.readings[0][0].map(|v| v + 0.25);
-        checkpoint.campaign.run.readings[0][0] = tampered;
+        let tampered = checkpoint.campaign.attack.run.readings[0][0].map(|v| v + 0.25);
+        checkpoint.campaign.attack.run.readings[0][0] = tampered;
         assert_eq!(
             checkpoint.manifest,
             checkpoint.campaign.manifest_json(),
@@ -1684,7 +1727,7 @@ mod tests {
         // and equally fatal: replaying stale randomness would silently
         // fork the campaign from its fault-free twin.
         let mut rewound = campaign.checkpoint();
-        rewound.campaign.rng = StdRng::seed_from_u64(0);
+        rewound.campaign.attack.rng = StdRng::seed_from_u64(0);
         let err = Campaign::resume(rewound).unwrap_err();
         assert!(
             matches!(err, PentimentoError::CheckpointCorrupt(ref m) if m.contains("checksum")),
@@ -1710,8 +1753,8 @@ mod tests {
         let mut checkpoint = campaign.checkpoint();
 
         // Drop the newest recorded hour, as a torn write would.
-        checkpoint.campaign.run.hours_log.pop();
-        for route in &mut checkpoint.campaign.run.readings {
+        checkpoint.campaign.attack.run.hours_log.pop();
+        for route in &mut checkpoint.campaign.attack.run.readings {
             route.pop();
         }
         let err = Campaign::resume(checkpoint.clone()).unwrap_err();

@@ -9,15 +9,13 @@
 
 use bti_physics::{Hours, LogicLevel};
 use cloud::{Provider, TenantId};
-use obs::{CampaignEvent, EventKind, Recorder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use tdc::{TdcArray, TdcConfig};
 
+use crate::campaign::{run_benign, Mission};
 use crate::classify::{BitClassifier, DriftSlopeClassifier};
 use crate::designs::build_target_design;
-use crate::experiment::oracle_deltas;
 use crate::metrics::RecoveryMetrics;
 use crate::{MeasurementMode, PentimentoError, RouteGroupSpec, RouteSeries, Skeleton};
 
@@ -79,7 +77,13 @@ pub struct ThreatModel1Outcome {
 /// whose constants are the secret `X`; the attacker rents an instance,
 /// reconstructs the route skeleton (Assumption 1), gathers pre-burn
 /// baselines, loads and runs the AFI for `burn_hours` while measuring
-/// hourly, and classifies each bit from the drift slope.
+/// every `measure_every` hours, and classifies each bit from the drift
+/// slope.
+///
+/// This is a benign [`Campaign`](crate::Campaign) — default
+/// [`CampaignConfig`](crate::CampaignConfig), so no fault plan — run
+/// against `provider`, which keeps its recorder and stays usable after
+/// the run.
 ///
 /// # Errors
 ///
@@ -88,168 +92,12 @@ pub fn run(
     provider: &mut Provider,
     config: &ThreatModel1Config,
 ) -> Result<ThreatModel1Outcome, PentimentoError> {
-    run_traced(provider, config, None)
-}
-
-/// [`run`], with optional structured telemetry.
-///
-/// When `recorder` is `Some`, the driver emits phase-transition events
-/// (`tm1:setup`, per-measurement `measure`, `tm1:classify`) and routes the
-/// batched sensor calls through the observed [`TdcArray`] variants so batch
-/// spans and read counters land in the recorder. Every event is emitted
-/// from this serial driver — never from the parallel sensor workers — so
-/// the trace is deterministic, and the measurement results are
-/// bit-identical to an untraced [`run`].
-///
-/// # Errors
-///
-/// Propagates cloud, fabric, and sensor failures, exactly as [`run`].
-pub fn run_traced(
-    provider: &mut Provider,
-    config: &ThreatModel1Config,
-    recorder: Option<&Recorder>,
-) -> Result<ThreatModel1Outcome, PentimentoError> {
-    if let Some(r) = recorder {
-        r.event(
-            CampaignEvent::new(EventKind::PhaseTransition, provider.now().value())
-                .detail("tm1:setup"),
-        );
-    }
-    // Master seed of the per-(route, phase) derived RNG streams; the
-    // vendor's secret is drawn serially from a generator seeded with it.
-    // The campaign runner mirrors this exact derivation (`Mission::seed`),
-    // which is what keeps benign campaigns bit-identical to this driver.
-    let master_seed = config.seed ^ 0x7EA5_E77E;
-    let mut rng = StdRng::seed_from_u64(master_seed);
-
-    // --- Vendor side: publish the sealed AFI with secret X. -----------
-    let attacker = TenantId::new("attacker");
-    let session = provider.rent(attacker.clone())?;
-
-    let specs: Vec<RouteGroupSpec> = config
-        .route_lengths_ps
-        .iter()
-        .map(|&target_ps| RouteGroupSpec {
-            target_ps,
-            count: config.routes_per_length,
-        })
-        .collect();
-    // Skeleton is derived from the device profile — both the vendor and
-    // the attacker compute the same one (Assumption 1).
-    let skeleton = Skeleton::place(provider.device(&session)?, &specs)?;
-    let truth: Vec<LogicLevel> = (0..skeleton.len())
-        .map(|_| LogicLevel::from_bool(rng.gen()))
-        .collect();
-    let afi = provider.marketplace_mut().publish(
-        TenantId::new("vendor"),
-        build_target_design(&skeleton, &truth),
-        true,
-    );
-    // The seal holds: the attacker cannot read the design.
-    if provider.marketplace().get(afi)?.inspect(&attacker).is_ok() {
-        return Err(PentimentoError::InvalidConfig(
-            "marketplace seal broken: the attack must not read the AFI".to_owned(),
-        ));
-    }
-
-    // --- Attacker side: sense the analog imprint instead. --------------
-    // Sensors are placed as one bank and calibrated in parallel, each
-    // from its own derived RNG stream.
-    let mut sensors = TdcArray::place(provider.device(&session)?, Vec::new(), TdcConfig::cloud())?;
-    if config.mode == MeasurementMode::Tdc {
-        let device = provider.device(&session)?;
-        sensors = TdcArray::place(
-            device,
-            skeleton.entries().iter().map(|e| e.route.clone()),
-            TdcConfig::cloud(),
-        )?;
-        sensors.calibrate_all_streamed_observed(device, master_seed, recorder)?;
-    }
-
-    let mut hours_log = Vec::new();
-    let mut readings: Vec<Vec<f64>> = vec![Vec::new(); skeleton.len()];
-    // One measurement phase: every route read in parallel. The phase
-    // number (count of already-recorded phases) selects the per-route
-    // RNG streams, so the readings are bit-identical at every thread
-    // count and independent of scheduling order.
-    let record = |hour: f64,
-                  provider: &Provider,
-                  readings: &mut Vec<Vec<f64>>,
-                  hours_log: &mut Vec<f64>|
-     -> Result<(), PentimentoError> {
-        let device = provider.device(&session)?;
-        let phase = hours_log.len() as u64;
-        hours_log.push(hour);
-        if let Some(r) = recorder {
-            r.event(
-                CampaignEvent::new(EventKind::PhaseTransition, hour)
-                    .value(phase as f64)
-                    .detail("measure"),
-            );
-            r.incr("tm1.measurement_phases", 1);
-        }
-        let measured = match config.mode {
-            MeasurementMode::Oracle => oracle_deltas(device, &skeleton),
-            MeasurementMode::Tdc => sensors.measure_deltas_streamed_observed(
-                device,
-                config.measurement_repeats.max(1),
-                master_seed,
-                phase,
-                recorder,
-            )?,
-        };
-        for (per_route, value) in readings.iter_mut().zip(measured) {
-            per_route.push(value);
-        }
-        Ok(())
-    };
-
-    // Pre-burn baseline, then load the sealed AFI and interleave
-    // Condition (1 h) / Measurement.
-    record(0.0, provider, &mut readings, &mut hours_log)?;
-    provider.load_afi(&session, afi)?;
-    // The loop must stay hourly — provider faults fire on hour
-    // boundaries, and the campaign runner's byte-identity tests compare
-    // against exactly this schedule. Each hourly step is still a
-    // closed-form phase advance: the device's decay cache computes the
-    // 1 h kernel once and shares it across every wire of every route.
-    for hour in 1..=config.burn_hours {
-        provider.advance_time(Hours::new(1.0));
-        if hour % config.measure_every == 0 {
-            record(hour as f64, provider, &mut readings, &mut hours_log)?;
-        }
-    }
-    provider.unload(&session)?;
-    provider.release(session)?;
-    if let Some(r) = recorder {
-        r.event(
-            CampaignEvent::new(EventKind::PhaseTransition, provider.now().value())
-                .detail("tm1:classify"),
-        );
-    }
-
-    let series: Vec<RouteSeries> = skeleton
-        .entries()
-        .iter()
-        .enumerate()
-        .map(|(i, entry)| {
-            RouteSeries::from_raw(
-                i,
-                entry.target_ps,
-                truth[i],
-                hours_log.clone(),
-                readings[i].clone(),
-            )
-        })
-        .collect();
-
-    let recovered = DriftSlopeClassifier::new().classify_all(&series);
-    let metrics = RecoveryMetrics::score(&series, &recovered);
+    let o = run_benign(provider, Mission::ThreatModel1(config.clone()))?;
     Ok(ThreatModel1Outcome {
-        series,
-        recovered,
-        truth,
-        metrics,
+        series: o.series,
+        recovered: o.recovered,
+        truth: o.truth,
+        metrics: o.metrics,
     })
 }
 

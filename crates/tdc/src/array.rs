@@ -58,6 +58,12 @@ impl TdcArray {
         &self.sensors
     }
 
+    /// Unpacks the bank into its sensors.
+    #[must_use]
+    pub fn into_sensors(self) -> Vec<TdcSensor> {
+        self.sensors
+    }
+
     /// Calibration phase for the whole bank: finds each sensor's θ_init.
     ///
     /// # Errors
@@ -206,32 +212,10 @@ impl TdcArray {
         master_seed: u64,
         phase: u64,
     ) -> Result<Vec<f64>, TdcError> {
-        self.measure_deltas_streamed_observed(device, repeats, master_seed, phase, None)
-    }
-
-    /// [`TdcArray::measure_deltas_streamed`] with an optional telemetry
-    /// recorder: the batch is timed as one `tdc.measure_batch` span, and
-    /// the batch/read counters grow by the batch totals. Only aggregate
-    /// counters are recorded (never per-worker events), so an attached
-    /// recorder cannot leak thread interleavings into a trace.
-    ///
-    /// # Errors
-    ///
-    /// As [`TdcArray::measure_deltas_streamed`].
-    pub fn measure_deltas_streamed_observed(
-        &self,
-        device: &FpgaDevice,
-        repeats: usize,
-        master_seed: u64,
-        phase: u64,
-        recorder: Option<&Recorder>,
-    ) -> Result<Vec<f64>, TdcError> {
         if repeats == 0 {
             return Err(TdcError::InvalidConfig("repeats must be at least 1"));
         }
-        let _span = recorder.map(|r| r.span("tdc.measure_batch"));
-        let result: Result<Vec<f64>, TdcError> = self
-            .sensors
+        self.sensors
             .par_iter()
             .enumerate()
             .map(|(i, sensor)| {
@@ -246,12 +230,7 @@ impl TdcArray {
                 }
                 Ok(acc / repeats as f64)
             })
-            .collect();
-        if let Some(r) = recorder {
-            r.incr("tdc.batched_reads", 1);
-            r.incr("tdc.sensor_reads", (self.sensors.len() * repeats) as u64);
-        }
-        result
+            .collect()
     }
 }
 
@@ -401,7 +380,7 @@ mod tests {
     }
 
     #[test]
-    fn observed_reads_match_unobserved_and_count_batches() {
+    fn observed_calibration_matches_unobserved_and_counts_sensors() {
         let device = FpgaDevice::zcu102_new(90);
         let recorder = Recorder::new();
         let mut plain = TdcArray::place(&device, routes(&device, 3), TdcConfig::cloud()).unwrap();
@@ -411,15 +390,8 @@ mod tests {
             .calibrate_all_streamed_observed(&device, 90, Some(&recorder))
             .unwrap();
         assert_eq!(a, b, "telemetry must not perturb calibration");
-        let x = plain.measure_deltas_streamed(&device, 2, 90, 1).unwrap();
-        let y = observed
-            .measure_deltas_streamed_observed(&device, 2, 90, 1, Some(&recorder))
-            .unwrap();
-        assert_eq!(x, y, "telemetry must not perturb measurement");
         assert_eq!(recorder.counter("tdc.calibrations"), 3);
-        assert_eq!(recorder.counter("tdc.batched_reads"), 1);
-        assert_eq!(recorder.counter("tdc.sensor_reads"), 6);
-        assert_eq!(recorder.counter("span.tdc.measure_batch.finished"), 1);
+        assert_eq!(recorder.counter("span.tdc.calibrate_batch.finished"), 1);
         assert!(
             recorder.trace_jsonl().is_empty(),
             "counters only, no events"

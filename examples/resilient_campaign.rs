@@ -42,7 +42,7 @@ fn provider() -> Provider {
 }
 
 fn main() -> Result<(), pentimento::PentimentoError> {
-    // --- The fault-free yardstick: the plain straight-line driver. ------
+    // --- The fault-free yardstick: the driver, i.e. a benign campaign. ---
     let baseline = threat_model1::run(&mut provider(), &mission_config())?;
     println!(
         "fault-free driver: {} bits at {:.1}% accuracy",

@@ -32,15 +32,21 @@ echo "== kernel_bench smoke (fast-path equivalence) =="
 # noise on shared CI hosts must not fail the build.
 cargo run --release -q -p bench --bin kernel_bench -- --smoke
 
-echo "== paper figures byte-identity (fig6/fig7/fig8 vs committed CSVs) =="
+echo "== paper figures byte-identity (fig6/fig7/fig8, attack_accuracy, fault_tolerance) =="
 # The figure bins are seeded end to end, so a change that is meant to
 # keep outputs (a faster kernel, a refactor) must regenerate the
 # committed figure CSVs byte for byte. A change that moves a figure on
-# purpose commits the regenerated CSVs with it.
+# purpose commits the regenerated CSVs with it. The committed
+# attack_accuracy.csv is the untraced --smoke output, and the
+# fault_tolerance artifacts come from a default run; their rate-0 rows
+# pin the benign attack loop the threat-model drivers run.
 for fig in fig6 fig7 fig8; do
     cargo run --release -q -p bench --bin "$fig" > /dev/null
 done
+cargo run --release -q -p bench --bin attack_accuracy -- --smoke > /dev/null
+cargo run --release -q -p bench --bin fault_tolerance > /dev/null
 git diff --exit-code --stat -- results/fig6.csv results/fig7.csv results/fig8.csv \
+    results/attack_accuracy.csv results/fault_tolerance.csv results/fault_tolerance.json \
     || { echo "FAIL: paper figure CSVs differ from the committed files"; exit 1; }
 
 echo "== attack_accuracy trace smoke (observability artifacts + overhead) =="

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use bti_physics::Hours;
 use cloud::{FaultKind, FaultPlan, Provider, ProviderConfig};
 use obs::{EventKind, Recorder};
-use pentimento::threat_model1::ThreatModel1Config;
+use pentimento::threat_model1::{self, ThreatModel1Config};
 use pentimento::{Campaign, CampaignConfig, MeasurementMode, Mission};
 use tdc::SensorFaultPlan;
 
@@ -150,4 +150,52 @@ fn sensor_batch_spans_and_read_counters_accumulate() {
         .map(|(_, v)| *v)
         .sum();
     assert_eq!(started, finished, "span nesting must be total");
+}
+
+/// A benign TM1 TDC run through `threat_model1::run`, traced via the
+/// provider's recorder, on a worker pool of exactly `threads` threads.
+fn traced_driver_run(threads: usize) -> Arc<Recorder> {
+    let config = ThreatModel1Config {
+        route_lengths_ps: vec![5_000.0, 10_000.0],
+        routes_per_length: 2,
+        burn_hours: 30,
+        measure_every: 3,
+        mode: MeasurementMode::Tdc,
+        seed: 81,
+        measurement_repeats: 2,
+    };
+    let recorder = Arc::new(Recorder::new());
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("pool builds")
+        .install(|| {
+            let mut provider = Provider::new(ProviderConfig::aws_f1_like(1, 81));
+            provider.set_recorder(Some(Arc::clone(&recorder)));
+            threat_model1::run(&mut provider, &config).expect("attack completes");
+        });
+    recorder
+}
+
+#[test]
+fn traced_driver_reports_sensor_spans_and_counters_at_every_width() {
+    let serial = traced_driver_run(1);
+    // One calibration batch, then the baseline plus one batch every
+    // third hour of 30: 11 measurement phases × 4 routes × 2 repeats.
+    assert_eq!(serial.counter("span.tdc.calibrate_batch.finished"), 1);
+    assert_eq!(serial.counter("tdc.calibrations"), 4);
+    assert_eq!(serial.counter("span.tdc.measure_batch.finished"), 11);
+    assert_eq!(serial.counter("tdc.batched_reads"), 11);
+    assert_eq!(serial.counter("tdc.sensor_reads"), 88);
+    assert_eq!(serial.counter("campaign.measurement_phases"), 11);
+    let trace = serial.trace_jsonl();
+    assert!(
+        !trace.contains("tdc."),
+        "spans and counters belong to metrics, not the trace"
+    );
+    assert_eq!(
+        trace,
+        traced_driver_run(2).trace_jsonl(),
+        "the trace must be identical at pool widths 1 and 2"
+    );
 }
