@@ -9,8 +9,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tdc::{TdcConfig, TdcSensor};
 
-fn word_to_string(bits: &[bool]) -> String {
-    bits.iter().map(|&b| if b { '1' } else { '0' }).collect()
+fn word_to_string(bits: impl Iterator<Item = bool>) -> String {
+    bits.map(|b| if b { '1' } else { '0' }).collect()
 }
 
 fn main() {

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::TdcError;
+use crate::{CaptureWord, TdcError};
 
 /// Configuration of a TDC sensor instance.
 ///
@@ -12,7 +12,8 @@ use crate::TdcError;
 /// non-uniformity.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TdcConfig {
-    /// Number of carry-chain delay elements / capture registers.
+    /// Number of carry-chain delay elements / capture registers, at most
+    /// [`CaptureWord::MAX_BITS`].
     pub chain_length: usize,
     /// Samples per trace (the paper uses 2⁴ = 16).
     pub samples_per_trace: usize,
@@ -62,6 +63,11 @@ impl TdcConfig {
     pub fn validate(&self) -> Result<(), TdcError> {
         if self.chain_length == 0 {
             return Err(TdcError::InvalidConfig("chain_length must be positive"));
+        }
+        if self.chain_length > CaptureWord::MAX_BITS {
+            return Err(TdcError::InvalidConfig(
+                "chain_length must not exceed CaptureWord::MAX_BITS (256)",
+            ));
         }
         if self.samples_per_trace == 0 {
             return Err(TdcError::InvalidConfig(
@@ -134,6 +140,10 @@ mod tests {
                 ..TdcConfig::lab()
             },
             TdcConfig {
+                chain_length: CaptureWord::MAX_BITS + 1,
+                ..TdcConfig::lab()
+            },
+            TdcConfig {
                 samples_per_trace: 0,
                 ..TdcConfig::lab()
             },
@@ -154,7 +164,14 @@ mod tests {
                 ..TdcConfig::lab()
             },
         ] {
-            assert!(bad.validate().is_err());
+            assert!(matches!(bad.validate(), Err(TdcError::InvalidConfig(_))));
+        }
+        for good in [1, 64, 128, CaptureWord::MAX_BITS] {
+            let config = TdcConfig {
+                chain_length: good,
+                ..TdcConfig::lab()
+            };
+            config.validate().unwrap();
         }
     }
 }

@@ -1,9 +1,10 @@
 //! The sensor proper: placement, calibration, and measurement.
 
-use fpga_fabric::{CarryChain, FpgaDevice, Route, TileCoord, TransitionKind};
+use fpga_fabric::{CarryChain, FpgaDevice, Route, RouteDelay, TileCoord, TransitionKind};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
+use crate::capture::{low_bits, set_bit};
 use crate::util::gaussian;
 use crate::{
     CaptureWord, ClockGenerator, Measurement, SensorFaultPlan, TdcConfig, TdcError, Trace,
@@ -116,7 +117,7 @@ impl TdcSensor {
     /// clock offset by `theta_ps` and snapshots the chain.
     ///
     /// Walks the route once per call; [`capture_trace`](Self::capture_trace)
-    /// walks it once per trace.
+    /// walks it once per trace, and a measurement once per read.
     #[must_use]
     pub fn capture_sample<R: Rng + ?Sized>(
         &self,
@@ -136,7 +137,8 @@ impl TdcSensor {
     /// `i`, and the margin never grows along the chain. So the bits
     /// before `lo` certainly saw the transition, the bits from `hi` on
     /// certainly did not, and only the metastable window `lo..hi` draws
-    /// from `rng`, in chain order.
+    /// from `rng`, in chain order. The word is built as a "transition
+    /// passed" mask, so a sample allocates nothing.
     fn capture<R: Rng + ?Sized>(
         &self,
         route_delay_ps: f64,
@@ -149,37 +151,29 @@ impl TdcSensor {
         let front_time = theta_ps + jitter - route_delay_ps;
         let w = self.config.metastable_window_ps;
         let passed_at = &self.chain.cumulative_ps()[1..];
-        let lo = passed_at.partition_point(|&p| front_time - p > w / 2.0);
-        // The negated test is the per-bit loop's own expression, so the
-        // tail boundary matches it bit for bit, NaN margins included.
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        let hi = lo + passed_at[lo..].partition_point(|&p| !(front_time - p < -w / 2.0));
-        let level = |transition_passed: bool| match kind {
-            TransitionKind::Rising => transition_passed,
-            TransitionKind::Falling => !transition_passed,
-        };
-        let mut bits = vec![level(false); passed_at.len()];
-        bits[..lo].fill(level(true));
-        for (bit, &p) in bits[lo..hi].iter_mut().zip(&passed_at[lo..hi]) {
+        let (lo, hi) = metastable_window(passed_at, front_time, w);
+        let mut passed = low_bits(lo);
+        for (i, &p) in (lo..hi).zip(&passed_at[lo..hi]) {
             let margin = front_time - p;
-            *bit = level(if w > 0.0 {
+            let transition_passed = if w > 0.0 {
                 // Metastable: resolves with probability linear in the
                 // capture margin.
                 rng.gen_bool((0.5 + margin / w).clamp(0.0, 1.0))
             } else {
                 margin >= 0.0
-            });
+            };
+            if transition_passed {
+                set_bit(&mut passed, i);
+            }
         }
-        CaptureWord::new(kind, bits)
+        CaptureWord::from_passed(kind, passed_at.len(), passed)
     }
 
     /// Captures one trace (both polarities, `samples_per_trace` each) at a
     /// fixed θ.
     ///
-    /// The route is walked once for the whole trace: the device is
-    /// borrowed immutably, so its delay cannot change between samples.
-    /// Nothing is cached across calls, because [`FpgaDevice::run_for`]
-    /// ages wires between them.
+    /// Walks the route once; [`measure`](Self::measure) and
+    /// [`calibrate`](Self::calibrate) walk it once for all their traces.
     #[must_use]
     pub fn capture_trace<R: Rng + ?Sized>(
         &self,
@@ -187,9 +181,24 @@ impl TdcSensor {
         theta_ps: f64,
         rng: &mut R,
     ) -> Trace {
+        self.trace_at(device.route_delay(&self.route), theta_ps, rng)
+    }
+
+    /// The trace kernel: one trace against an already-walked route delay.
+    ///
+    /// Callers walk the route once per public call and reuse the delay
+    /// for every trace of that call. That is sound because the device is
+    /// borrowed immutably for the whole call, so its delay cannot change;
+    /// nothing is cached across calls, because [`FpgaDevice::run_for`]
+    /// ages wires between them.
+    fn trace_at<R: Rng + ?Sized>(
+        &self,
+        route_delay: RouteDelay,
+        theta_ps: f64,
+        rng: &mut R,
+    ) -> Trace {
         // The clock generator can only realize phases on its grid.
         let theta_ps = self.clock.quantize(theta_ps);
-        let route_delay = device.route_delay(&self.route);
         let sample = |kind, rng: &mut R| {
             let route_delay_ps = route_delay.for_transition(kind);
             (0..self.config.samples_per_trace)
@@ -213,6 +222,18 @@ impl TdcSensor {
         device: &FpgaDevice,
         rng: &mut R,
     ) -> Result<f64, TdcError> {
+        let route_delay = device.route_delay(&self.route);
+        self.calibrate_with(rng, |sensor, theta, rng| {
+            sensor.trace_at(route_delay, theta, rng)
+        })
+    }
+
+    /// The calibration search over traces from `capture_at(self, θ, rng)`.
+    fn calibrate_with<R: Rng + ?Sized>(
+        &mut self,
+        rng: &mut R,
+        capture_at: impl Fn(&Self, f64, &mut R) -> Trace,
+    ) -> Result<f64, TdcError> {
         // Start with the capture well after the edge has flooded the chain
         // and walk θ down until the fronts appear mid-chain. A coarse
         // sweep (half a chain per step) finds the neighbourhood fast; a
@@ -228,7 +249,7 @@ impl TdcSensor {
         let mut theta = start;
         let coarse_limit = (start / coarse_step).ceil() as usize + 1;
         loop {
-            let trace = self.capture_trace(device, theta, rng);
+            let trace = capture_at(self, theta, rng);
             attempts += 1;
             let rise = trace.mean_distance(TransitionKind::Rising);
             let fall = trace.mean_distance(TransitionKind::Falling);
@@ -245,7 +266,7 @@ impl TdcSensor {
         let fine_step = self.config.theta_step_ps;
         let fine_limit = (2.0 * coarse_step / fine_step).ceil() as usize + 4;
         for _ in 0..fine_limit {
-            let trace = self.capture_trace(device, theta, rng);
+            let trace = capture_at(self, theta, rng);
             attempts += 1;
             let rise = trace.mean_distance(TransitionKind::Rising);
             let fall = trace.mean_distance(TransitionKind::Falling);
@@ -275,7 +296,7 @@ impl TdcSensor {
         device: &FpgaDevice,
         rng: &mut R,
     ) -> Result<Measurement, TdcError> {
-        let traces = self.measurement_traces(device, rng)?;
+        let traces = self.measurement_traces(device.route_delay(&self.route), rng)?;
         Ok(Measurement::from_traces(&traces))
     }
 
@@ -298,19 +319,20 @@ impl TdcSensor {
         min_quorum: f64,
         rng: &mut R,
     ) -> Result<Measurement, TdcError> {
-        Measurement::try_from_traces(&self.measurement_traces(device, rng)?, min_quorum)
+        let traces = self.measurement_traces(device.route_delay(&self.route), rng)?;
+        Measurement::try_from_traces(&traces, min_quorum)
     }
 
     /// The measurement's traces, θ stepping down from θ_init.
     fn measurement_traces<R: Rng + ?Sized>(
         &self,
-        device: &FpgaDevice,
+        route_delay: RouteDelay,
         rng: &mut R,
     ) -> Result<Vec<Trace>, TdcError> {
         let theta_init = self.theta_init_ps.ok_or(TdcError::NotCalibrated)?;
         let step = self.config.theta_step_ps;
         Ok((0..self.config.traces_per_measurement)
-            .map(|i| self.capture_trace(device, theta_init - i as f64 * step, rng))
+            .map(|i| self.trace_at(route_delay, theta_init - i as f64 * step, rng))
             .collect())
     }
 
@@ -327,12 +349,53 @@ impl TdcSensor {
         rng: &mut R,
     ) -> Result<Measurement, TdcError> {
         let theta_init = self.theta_init_ps.ok_or(TdcError::NotCalibrated)?;
-        let probe = self.capture_trace(device, theta_init, rng);
-        if probe.is_saturated() {
-            self.calibrate(device, rng)?;
+        let route_delay = device.route_delay(&self.route);
+        if self.trace_at(route_delay, theta_init, rng).is_saturated() {
+            self.calibrate_with(rng, |sensor, theta, rng| {
+                sensor.trace_at(route_delay, theta, rng)
+            })?;
         }
-        self.measure(device, rng)
+        Ok(Measurement::from_traces(
+            &self.measurement_traces(route_delay, rng)?,
+        ))
     }
+}
+
+/// The metastable window `lo..hi` of an edge front `front_time` ps into a
+/// chain whose element `i` is passed at `passed_at[i]` (non-decreasing):
+/// the bits before `lo` certainly saw the transition and the bits from
+/// `hi` on certainly did not.
+///
+/// Both bounds are the `partition_point`s of the per-bit loop's own
+/// comparisons, which are monotone along the chain, so NaN, infinite and
+/// negative fronts land exactly where that loop puts them. The search
+/// starts where a uniform chain would put the front and steps from
+/// there: element delays vary by a few percent and the window is
+/// usually 0–1 bits wide, so it takes a step or two instead of two
+/// binary searches.
+fn metastable_window(passed_at: &[f64], front_time: f64, w: f64) -> (usize, usize) {
+    let len = passed_at.len();
+    let Some(&total_ps) = passed_at.last() else {
+        return (0, 0);
+    };
+    let certainly_passed = |p: f64| front_time - p > w / 2.0;
+    // The negated test is the per-bit loop's own expression, so the tail
+    // boundary matches it bit for bit, NaN margins included.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    let maybe_passed = |p: f64| !(front_time - p < -w / 2.0);
+    // A float-to-int `as` saturates: NaN and negative seeds become 0.
+    let mut lo = ((front_time * len as f64 / total_ps) as usize).min(len);
+    while lo > 0 && !certainly_passed(passed_at[lo - 1]) {
+        lo -= 1;
+    }
+    while lo < len && certainly_passed(passed_at[lo]) {
+        lo += 1;
+    }
+    let mut hi = lo;
+    while hi < len && maybe_passed(passed_at[hi]) {
+        hi += 1;
+    }
+    (lo, hi)
 }
 
 #[cfg(test)]
@@ -537,12 +600,36 @@ mod tests {
     }
 
     fn fresh_distance(word: &CaptureWord) -> usize {
-        let passed = |&&b: &&bool| match word.kind() {
-            TransitionKind::Rising => b,
-            TransitionKind::Falling => !b,
-        };
-        word.bits().iter().filter(passed).count()
+        let rising = word.kind() == TransitionKind::Rising;
+        word.bits().filter(|&b| b == rising).count()
     }
+
+    /// Fronts before, across and past a chain on a 0.5 ps grid, every
+    /// element boundary and window edge, and the wild fronts.
+    fn sweep_fronts(chain: &CarryChain, metastable_window_ps: f64) -> Vec<f64> {
+        let total = chain.total_delay_ps();
+        let grid = (0..).map(|k| -40.0 + 0.5 * f64::from(k));
+        let grid = grid.take_while(|&f| f <= total + 40.0);
+        let half = metastable_window_ps / 2.0;
+        let edges = chain
+            .cumulative_ps()
+            .iter()
+            .flat_map(|&c| [c - half, c, c + half]);
+        grid.chain(edges).chain(WILD_FRONTS).collect()
+    }
+
+    /// The non-finite and far-off fronts a wild θ can produce.
+    const WILD_FRONTS: [f64; 6] = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -1e9,
+        -1e300,
+        1e9,
+    ];
+
+    /// Chain lengths at and around every 64-bit mask word boundary.
+    const SWEEP_LENGTHS: [usize; 7] = [1, 63, 64, 65, 128, 255, 256];
 
     #[test]
     fn window_kernel_matches_per_bit_reference() {
@@ -552,48 +639,99 @@ mod tests {
             .unwrap();
         let route_delay = device.route_delay(&route);
         let mut cases = 0usize;
-        for jitter_sigma_ps in [
-            0.0,
-            TdcConfig::lab().jitter_sigma_ps,
-            TdcConfig::cloud().jitter_sigma_ps,
-        ] {
-            for metastable_window_ps in [0.0, 1.5, 6.0] {
-                let config = TdcConfig {
-                    jitter_sigma_ps,
-                    metastable_window_ps,
-                    ..TdcConfig::lab()
-                };
-                let sensor = TdcSensor::place(&device, route.clone(), config).unwrap();
-                let cum = sensor.chain().cumulative_ps();
-                let total = sensor.chain().total_delay_ps();
-                // Fronts before, across and past the chain on a 0.5 ps
-                // grid, plus every element boundary and window edge.
-                let grid = (0..).map(|k| -40.0 + 0.5 * f64::from(k));
-                let grid = grid.take_while(|&f| f <= total + 40.0);
-                let half = metastable_window_ps / 2.0;
-                let edges = cum.iter().flat_map(|&c| [c - half, c, c + half]);
-                let fronts: Vec<f64> = grid.chain(edges).collect();
-                for kind in TransitionKind::ALL {
-                    let delay = route_delay.for_transition(kind);
-                    for &front in &fronts {
-                        let theta = delay + front;
-                        let mut rng_ref = StdRng::seed_from_u64(cases as u64);
-                        let mut rng_fast = StdRng::seed_from_u64(cases as u64);
-                        let want = reference_capture(&sensor, delay, theta, kind, &mut rng_ref);
-                        let got = sensor.capture(delay, theta, kind, &mut rng_fast);
-                        assert_eq!(got, want, "case {cases}: front {front} ps, {config:?}");
-                        assert_eq!(got.propagation_distance(), fresh_distance(&want));
-                        assert_eq!(
-                            rng_fast.next_u64(),
-                            rng_ref.next_u64(),
-                            "case {cases}: RNG draw count diverged"
-                        );
-                        cases += 1;
+        for chain_length in SWEEP_LENGTHS {
+            for jitter_sigma_ps in [
+                0.0,
+                TdcConfig::lab().jitter_sigma_ps,
+                TdcConfig::cloud().jitter_sigma_ps,
+            ] {
+                for metastable_window_ps in [0.0, 1.5, 6.0] {
+                    let config = TdcConfig {
+                        chain_length,
+                        jitter_sigma_ps,
+                        metastable_window_ps,
+                        ..TdcConfig::lab()
+                    };
+                    let sensor = TdcSensor::place(&device, route.clone(), config).unwrap();
+                    let fronts = sweep_fronts(sensor.chain(), metastable_window_ps);
+                    for kind in TransitionKind::ALL {
+                        let delay = route_delay.for_transition(kind);
+                        for &front in &fronts {
+                            let theta = delay + front;
+                            let mut rng_ref = StdRng::seed_from_u64(cases as u64);
+                            let mut rng_fast = StdRng::seed_from_u64(cases as u64);
+                            if front.is_nan() && metastable_window_ps > 0.0 {
+                                // A NaN margin is a NaN probability, which
+                                // both paths hand to `gen_bool` and which
+                                // it rejects.
+                                let panics = |capture: &dyn Fn(&mut StdRng)| {
+                                    let mut rng = StdRng::seed_from_u64(0);
+                                    let run = std::panic::AssertUnwindSafe(|| capture(&mut rng));
+                                    std::panic::catch_unwind(run).is_err()
+                                };
+                                assert!(panics(&|rng| {
+                                    let _ = reference_capture(&sensor, delay, theta, kind, rng);
+                                }));
+                                assert!(panics(&|rng| {
+                                    let _ = sensor.capture(delay, theta, kind, rng);
+                                }));
+                                continue;
+                            }
+                            let want = reference_capture(&sensor, delay, theta, kind, &mut rng_ref);
+                            let got = sensor.capture(delay, theta, kind, &mut rng_fast);
+                            assert_eq!(got, want, "case {cases}: front {front} ps, {config:?}");
+                            assert_eq!(got.propagation_distance(), fresh_distance(&want));
+                            assert_eq!(
+                                rng_fast.next_u64(),
+                                rng_ref.next_u64(),
+                                "case {cases}: RNG draw count diverged"
+                            );
+                            cases += 1;
+                        }
                     }
                 }
             }
         }
         assert!(cases >= 10_000, "only {cases} cases");
+    }
+
+    #[test]
+    fn seeded_window_search_equals_partition_point() {
+        let device = FpgaDevice::zcu102_new(32);
+        let mut chains: Vec<Vec<f64>> = SWEEP_LENGTHS
+            .iter()
+            .map(|&len| {
+                let chain = device.carry_chain(TileCoord::new(9, 0), len).unwrap();
+                chain.cumulative_ps()[1..].to_vec()
+            })
+            .collect();
+        // Far from uniform, so the seed lands many elements off: delays
+        // growing along the chain, and runs of zero-delay elements (ties).
+        for len in [65, 256] {
+            chains.push((1..=len).map(|i| 0.05 * (i * i) as f64).collect());
+            chains.push((1..=len).map(|i| 2.8 * (i / 8 * 8) as f64).collect());
+        }
+        for passed_at in &chains {
+            let total = passed_at[passed_at.len() - 1];
+            for w in [0.0, 1.5, 6.0, 40.0] {
+                let grid = (0..).map(|k| -40.0 + 0.25 * f64::from(k));
+                let grid = grid.take_while(|&f| f <= total + 40.0);
+                let edges = passed_at
+                    .iter()
+                    .flat_map(|&c| [c - w / 2.0, c, c + w / 2.0]);
+                for front in grid.chain(edges).chain(WILD_FRONTS) {
+                    let lo = passed_at.partition_point(|&p| front - p > w / 2.0);
+                    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+                    let hi = lo + passed_at[lo..].partition_point(|&p| !(front - p < -w / 2.0));
+                    assert_eq!(
+                        metastable_window(passed_at, front, w),
+                        (lo, hi),
+                        "{}-element chain, front {front} ps, window {w} ps",
+                        passed_at.len()
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -625,6 +763,63 @@ mod tests {
     }
 
     #[test]
+    fn reads_equal_composed_capture_traces_on_fresh_and_aged_device() {
+        let (mut device, mut sensor, _) = setup(5_000.0, 25);
+        sensor.set_fault_plan(SensorFaultPlan::noisy(3, 0.1));
+        let route = sensor.route().clone();
+        // The reads at θ_init − i·step, each trace walking the route anew.
+        let composed = |sensor: &TdcSensor, device: &FpgaDevice, rng: &mut StdRng| {
+            let theta_init = sensor.theta_init_ps().unwrap();
+            let step = sensor.config().theta_step_ps;
+            (0..sensor.config().traces_per_measurement)
+                .map(|i| sensor.capture_trace(device, theta_init - i as f64 * step, rng))
+                .collect::<Vec<_>>()
+        };
+        for aged in [false, true] {
+            if aged {
+                device.condition_route(&route, DutyCycle::ALWAYS_ONE, Hours::new(200.0));
+            }
+            let seed = 50 + u64::from(aged);
+            let mut rng_got = StdRng::seed_from_u64(seed);
+            let mut rng_want = StdRng::seed_from_u64(seed);
+            let by_trace =
+                |s: &TdcSensor, theta, rng: &mut StdRng| s.capture_trace(&device, theta, rng);
+
+            let mut reference = sensor.clone();
+            let theta = sensor.calibrate(&device, &mut rng_got).unwrap();
+            assert_eq!(reference.calibrate_with(&mut rng_want, by_trace), Ok(theta));
+            assert_eq!(sensor, reference);
+
+            let got = sensor.measure(&device, &mut rng_got).unwrap();
+            let want = Measurement::from_traces(&composed(&sensor, &device, &mut rng_want));
+            assert_eq!(got, want, "measure, aged = {aged}");
+
+            let got = sensor.measure_robust(&device, 0.5, &mut rng_got);
+            let want =
+                Measurement::try_from_traces(&composed(&sensor, &device, &mut rng_want), 0.5);
+            assert_eq!(got, want, "measure_robust, aged = {aged}");
+
+            // A borrowed θ_init that misses the chain takes the retune path.
+            let mut retuned = sensor.clone();
+            retuned.set_theta_init_ps(theta + 4_000.0);
+            let mut reference = retuned.clone();
+            let got = retuned.measure_with_retune(&device, &mut rng_got).unwrap();
+            let probe = reference.capture_trace(&device, theta + 4_000.0, &mut rng_want);
+            assert!(probe.is_saturated());
+            reference.calibrate_with(&mut rng_want, by_trace).unwrap();
+            let want = Measurement::from_traces(&composed(&reference, &device, &mut rng_want));
+            assert_eq!(got, want, "measure_with_retune, aged = {aged}");
+            assert_eq!(retuned, reference);
+
+            assert_eq!(
+                rng_got.next_u64(),
+                rng_want.next_u64(),
+                "aged = {aged}: RNG draw count diverged"
+            );
+        }
+    }
+
+    #[test]
     fn corrupted_words_carry_a_fresh_distance() {
         let (device, mut sensor, mut rng) = setup(5_000.0, 24);
         sensor.calibrate(&device, &mut rng).unwrap();
@@ -637,7 +832,7 @@ mod tests {
             let faulty = plan.corrupt_trace(clean.clone());
             for kind in TransitionKind::ALL {
                 for (c, f) in clean.words(kind).iter().zip(faulty.words(kind)) {
-                    if c.bits() != f.bits() {
+                    if c != f {
                         corrupted += 1;
                     }
                     let d = fresh_distance(f);

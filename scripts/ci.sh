@@ -32,14 +32,18 @@ echo "== kernel_bench smoke (fast-path equivalence) =="
 # noise on shared CI hosts must not fail the build.
 cargo run --release -q -p bench --bin kernel_bench -- --smoke
 
-echo "== paper figures byte-identity (fig6/fig7/fig8, attack_accuracy, fault_tolerance) =="
+echo "== paper figures byte-identity (fig3/fig6/fig7/fig8, attack_accuracy, fault_tolerance) =="
 # The figure bins are seeded end to end, so a change that is meant to
 # keep outputs (a faster kernel, a refactor) must regenerate the
 # committed figure CSVs byte for byte. A change that moves a figure on
 # purpose commits the regenerated CSVs with it. The committed
 # attack_accuracy.csv is the untraced --smoke output, and the
 # fault_tolerance artifacts come from a default run; their rate-0 rows
-# pin the benign attack loop the threat-model drivers run.
+# pin the benign attack loop the threat-model drivers run. Figure 3
+# writes no file; its committed stdout pins the raw capture words.
+cargo run --release -q -p bench --bin fig3_traces > /tmp/ci_fig3_traces.txt
+cmp results/fig3_traces.txt /tmp/ci_fig3_traces.txt \
+    || { echo "FAIL: fig3_traces output differs from results/fig3_traces.txt"; exit 1; }
 for fig in fig6 fig7 fig8; do
     cargo run --release -q -p bench --bin "$fig" > /dev/null
 done
