@@ -13,7 +13,7 @@
 //!    *which bit* it held. The dual-polarity TDC separates the polarities
 //!    and recovers the bit.
 //! 2. **DRC rejection** — ROs are self-oscillating combinational loops and
-//!    fail cloud design rule checks ([`cloud::Provider::load_design`]
+//!    fail cloud design rule checks (`cloud::Provider::load_design`
 //!    rejects [`build_ro_design`]); the TDC's clocked structures pass.
 
 #![forbid(unsafe_code)]

@@ -2,13 +2,12 @@
 
 use fpga_fabric::{CellKind, Design, FpgaDevice, NetActivity, Route};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Delay of the loop-closing LUT inverter, in picoseconds.
 const INVERTER_DELAY_PS: f64 = 120.0;
 
 /// One frequency reading from a ring oscillator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoReading {
     /// Oscillation frequency, in megahertz.
     pub frequency_mhz: f64,
@@ -24,7 +23,7 @@ pub struct RoReading {
 /// `rise_delay + fall_delay + 2 × inverter` — the *sum* of both
 /// polarities, which is exactly why the sensor cannot tell burn-0 from
 /// burn-1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoSensor {
     route: Route,
     counter_gate_ns: f64,

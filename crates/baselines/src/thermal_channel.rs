@@ -11,13 +11,12 @@
 use bti_physics::{Celsius, Hours};
 use fpga_fabric::{Design, FpgaDevice};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Power dissipated by the transmitter's heater design, in watts.
 pub const HEATER_WATTS: f64 = 63.0;
 
 /// A temperature-proxy reader (an on-chip delay-based thermometer).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalReceiver {
     /// RMS error of one temperature reading, in °C.
     pub noise_sigma_c: f64,

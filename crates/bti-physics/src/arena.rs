@@ -40,8 +40,6 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use serde::{Deserialize, Serialize};
-
 use crate::{
     BinKernel, BtiModel, Celsius, DecayCache, DutyCycle, Hours, PhaseKernel, Polarity, TrapBin,
 };
@@ -53,7 +51,7 @@ use crate::{
 /// first stress ([`ensure`](AgingArena::ensure)) in factory-fresh state
 /// and are never removed — exactly the lifecycle the old per-wire map
 /// had, minus the per-wire heap objects.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AgingArena {
     /// Bins per wire in the NBTI bank (bank order: NBTI bins first).
     nbti_len: usize,

@@ -1,7 +1,5 @@
 //! A trap bank: the full defect population of one BTI polarity.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{BinKernel, BtiError, DutyCycle, Hours, Polarity, TrapBin};
 
 /// The defect-trap population of one polarity (NBTI or PBTI) on one
@@ -12,7 +10,7 @@ use crate::{BinKernel, BtiError, DutyCycle, Hours, Polarity, TrapBin};
 /// weight-averaged occupancy in `[0, 1]` — is the normalized
 /// threshold-voltage shift of the underlying transistors, which the delay
 /// model turns into picoseconds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrapBank {
     polarity: Polarity,
     bins: Vec<TrapBin>,

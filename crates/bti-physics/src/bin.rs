@@ -1,7 +1,5 @@
 //! A single defect-trap population bin of the capture–emission time map.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{DutyCycle, Hours};
 
 /// One bin of a discretized capture–emission time (CET) map.
@@ -16,7 +14,7 @@ use crate::{DutyCycle, Hours};
 /// component of BTI — the part of burn-in that never recovers, which the
 /// paper observes as burn-0 routes failing to fully return to baseline
 /// even after 200 hours of complemented stress.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrapBin {
     /// Capture (stress) time constant, in hours, at the reference temperature.
     pub tau_capture: Hours,

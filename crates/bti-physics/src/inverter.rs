@@ -6,8 +6,6 @@
 //! its 0-input and 1-input propagation delays (`Δps`) therefore encodes
 //! what the inverter previously computed.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{AgingState, BtiModel, Celsius, Hours, LogicLevel, Polarity};
 
 /// A minimal aging-aware CMOS inverter.
@@ -23,7 +21,7 @@ use crate::{AgingState, BtiModel, Celsius, Hours, LogicLevel, Polarity};
 /// // A held 1 input stressed the NMOS: falling output edges got slower.
 /// assert!(inv.delta_ps(&model) > 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Inverter {
     state: AgingState,
     nominal_delay_ps: f64,

@@ -1,11 +1,9 @@
 //! The calibrated BTI model: per-polarity kinetics and delay sensitivity.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{arrhenius_acceleration, BtiError, Celsius, Polarity, TrapBank};
 
 /// Kinetic and sensitivity parameters for one BTI polarity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PolarityParams {
     /// Number of recoverable trap bins in the CET discretization.
     pub bin_count: usize,
@@ -74,7 +72,7 @@ impl PolarityParams {
 /// assert!(model.nbti().sensitivity > model.pbti().sensitivity,
 ///         "NBTI effects are typically larger than PBTI");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BtiModel {
     nbti: PolarityParams,
     pbti: PolarityParams,
@@ -180,7 +178,7 @@ impl Default for BtiModel {
 
 /// Builder for [`BtiModel`] (C-BUILDER). Defaults to the UltraScale+
 /// calibration; override individual knobs for ablation studies.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BtiModelBuilder {
     nbti: PolarityParams,
     pbti: PolarityParams,

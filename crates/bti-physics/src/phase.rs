@@ -32,13 +32,11 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{BtiModel, Celsius, DutyCycle, Hours, Polarity, TrapBin};
 
 /// Closed-form update coefficients for one CET bin over one
 /// constant-condition phase.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BinKernel {
     /// The occupancy the bin approaches under these conditions,
     /// `r_c / (r_c + r_e)`.
@@ -109,7 +107,7 @@ impl BinKernel {
 /// The full kernel table for one constant-condition phase: one
 /// [`BinKernel`] per bin, for both polarities, with Arrhenius
 /// acceleration already folded in.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseKernel {
     nbti: Vec<BinKernel>,
     pbti: Vec<BinKernel>,
@@ -209,9 +207,8 @@ const DECAY_CACHE_CAPACITY: usize = 4096;
 ///
 /// Pure telemetry: the counters never influence which kernel a lookup
 /// returns, so two runs that differ only in whether anyone *reads* the
-/// stats stay bit-identical. They are excluded from serialization for the
-/// same reason checkpointed caches may be dropped wholesale — observability
-/// state is not simulation state.
+/// stats stay bit-identical. A checkpoint may drop them, as it may drop
+/// the whole cache: observability state is not simulation state.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups served from a memoized kernel.
@@ -255,12 +252,11 @@ impl CacheStats {
 /// The cache holds only pure derived values: cloning, dropping, or
 /// clearing it never changes results, so snapshot/resume flows that skip
 /// it are safe.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DecayCache {
     nbti_proto: Vec<TrapBin>,
     pbti_proto: Vec<TrapBin>,
     map: HashMap<PhaseKey, PhaseKernel>,
-    #[serde(skip)]
     stats: CacheStats,
 }
 

@@ -3,14 +3,12 @@
 use std::fmt;
 use std::ops::Not;
 
-use serde::{Deserialize, Serialize};
-
 /// A static logic level held on an FPGA resource.
 ///
 /// Holding [`LogicLevel::Zero`] stresses PMOS transistors (NBTI); holding
 /// [`LogicLevel::One`] stresses NMOS transistors (PBTI) — Figure 2 of the
 /// paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum LogicLevel {
     /// Logical 0 / GND ("red" in the paper's target design figure).
     Zero,
@@ -82,7 +80,7 @@ impl fmt::Display for LogicLevel {
 }
 
 /// The two polarities of bias temperature instability.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Polarity {
     /// Negative BTI: PMOS degradation under logical 0; slows rising edges.
     Nbti,
@@ -120,7 +118,7 @@ impl fmt::Display for Polarity {
 /// mitigation) has duty 0.5. The aging kinetics treat intermediate duty
 /// cycles in the fast-toggling limit: capture and emission rates are
 /// scaled by the time share of stress vs. relief.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct DutyCycle(f64);
 
 impl DutyCycle {

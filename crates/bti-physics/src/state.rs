@@ -1,7 +1,5 @@
 //! Per-resource aging state: one trap bank of each polarity.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{BtiModel, Celsius, DutyCycle, Hours, LogicLevel, PhaseKernel, Polarity, TrapBank};
 
 /// The complete BTI state of one physical resource (a wire, a transistor
@@ -23,7 +21,7 @@ use crate::{BtiModel, Celsius, DutyCycle, Hours, LogicLevel, PhaseKernel, Polari
 /// // Burn value 0 makes Δps negative (cyan traces in Figure 6).
 /// assert!(state.delta_ps(&model, 5_000.0) < -4.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AgingState {
     nbti: TrapBank,
     pbti: TrapBank,

@@ -6,8 +6,6 @@
 //! threshold-voltage shift respond more weakly to fresh stress. We model
 //! this with a saturating power law on the *fresh-stress sensitivity*.
 
-use serde::{Deserialize, Serialize};
-
 use crate::Hours;
 
 /// Maps a device's total prior service time to a fresh-stress
@@ -25,7 +23,7 @@ use crate::Hours;
 /// let f = wear.sensitivity_factor(four_years);
 /// assert!(f > 0.05 && f < 0.15, "aged cloud device ~10x weaker, got {f}");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WearModel {
     /// Characteristic service time, in hours, at which wear becomes
     /// significant.

@@ -11,12 +11,11 @@ use std::collections::HashMap;
 use std::fmt;
 
 use fpga_fabric::{Bitstream, Design};
-use serde::{Deserialize, Serialize};
 
 use crate::{CloudError, TenantId};
 
 /// Identifier of a published FPGA image.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AfiId(pub u64);
 
 impl fmt::Display for AfiId {
@@ -28,7 +27,7 @@ impl fmt::Display for AfiId {
 /// A published FPGA image: a configuration binary plus its
 /// intellectual-property seal. The marketplace stores *bitstreams* — the
 /// platform, not the renter, turns them back into designs at load time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Afi {
     id: AfiId,
     publisher: TenantId,
@@ -94,7 +93,7 @@ impl Afi {
 }
 
 /// The marketplace: the catalog of published AFIs.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Marketplace {
     next_id: u64,
     afis: HashMap<AfiId, Afi>,

@@ -27,10 +27,9 @@
 use std::fmt;
 
 use bti_physics::Hours;
-use serde::{Deserialize, Serialize};
 
 /// The kinds of operational faults a hostile cloud injects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum FaultKind {
     /// A rent call fails transiently (no capacity *for you*, right now).
@@ -103,7 +102,7 @@ impl fmt::Display for FaultKind {
 
 /// One explicitly scheduled fault: fires exactly once when provider time
 /// reaches `at`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScheduledFault {
     /// Provider time at (or after) which the fault fires.
     pub at: Hours,
@@ -117,7 +116,7 @@ pub struct ScheduledFault {
 /// infallible provider earlier revisions assumed. All rates are
 /// probabilities in `[0, 1]`: per *call* for [`FaultKind::RentFailure`]
 /// and [`FaultKind::DeviceSwap`], per *rented-device hour* for the rest.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed all probabilistic decisions derive from.
     pub seed: u64,
@@ -226,7 +225,7 @@ impl FaultPlan {
 /// Decision `n` for kind `k` is a pure function of `(plan.seed, k, n)`, so
 /// subsystems cannot perturb each other's streams and a cloned provider
 /// (a checkpoint) resumes the exact same fault sequence.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultState {
     draws: [u64; 5],
     schedule_cursor: usize,

@@ -7,11 +7,10 @@
 //! the kind of measurement a tenant can make with on-chip sensors.
 
 use fpga_fabric::{FpgaDevice, TileCoord, WireId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A stable physical identity derived from silicon variation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Fingerprint(u64);
 
 impl fmt::Display for Fingerprint {

@@ -10,12 +10,11 @@
 use std::sync::Mutex;
 
 use bti_physics::Hours;
-use serde::{Deserialize, Serialize};
 
 use crate::{DeviceId, FaultKind, TenantId};
 
 /// One allocation event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RentalRecord {
     /// The device concerned.
     pub device: DeviceId,
@@ -42,7 +41,7 @@ impl RentalRecord {
 /// Hostile-cloud experiments need an auditable trail of exactly what
 /// adversity a campaign survived; the provider records every injected
 /// fault here alongside the rental history it perturbed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultRecord {
     /// Provider time at which the fault took effect.
     pub at: Hours,
@@ -58,7 +57,7 @@ pub struct FaultRecord {
 }
 
 /// Append-only allocation history.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RentalLedger {
     records: Vec<RentalRecord>,
     faults: Vec<FaultRecord>,
@@ -163,7 +162,7 @@ const DEFAULT_FAULT_STRIPES: usize = 8;
 /// A thread-safe, **lock-striped** funnel for fault records produced on
 /// worker threads.
 ///
-/// [`RentalLedger`] is plain serializable state with `&mut` recording —
+/// [`RentalLedger`] is plain owned state with `&mut` recording —
 /// the right shape for checkpoints, the wrong one for a parallel sweep.
 /// Workers `record` into a funnel through `&self`; instead of one global
 /// mutex (the single drain-point bottleneck the sharded fleet scheduler

@@ -9,7 +9,6 @@ use fpga_fabric::{check_design, Design, FpgaDevice, ThermalModel};
 use obs::{CampaignEvent, EventKind, Recorder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::ledger::FaultRecord;
 use crate::{
@@ -18,7 +17,7 @@ use crate::{
 };
 
 /// Identifier of a physical device in the provider's fleet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DeviceId(pub u32);
 
 impl fmt::Display for DeviceId {
@@ -28,7 +27,7 @@ impl fmt::Display for DeviceId {
 }
 
 /// Fleet configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProviderConfig {
     /// Number of devices in the region.
     pub pool_size: u32,
@@ -68,13 +67,13 @@ impl ProviderConfig {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum SlotState {
     Free { released_at: Option<Hours> },
     Rented { session_id: u64 },
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Slot {
     device: FpgaDevice,
     state: SlotState,

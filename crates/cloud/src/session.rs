@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{DeviceId, TenantId};
 
 /// A lease on one FPGA instance.
@@ -12,7 +10,7 @@ use crate::{DeviceId, TenantId};
 /// [`Provider`](crate::Provider), which validates that the session still
 /// owns its device. Dropping a session without releasing it leaks the
 /// lease (as forgetting to terminate an instance does in a real cloud).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Session {
     id: u64,
     tenant: TenantId,

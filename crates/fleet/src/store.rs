@@ -55,8 +55,8 @@ pub struct Envelope {
 /// In-memory side of the two-tier checkpoint design: the actual
 /// [`CampaignCheckpoint`] snapshots, keyed by `(campaign, generation)`.
 ///
-/// The vendored `serde` is a no-op stub, so snapshots cannot be
-/// serialized to disk; the vault models the durable snapshot tier while
+/// There is no on-disk snapshot codec yet, so snapshots are not written
+/// to disk; the vault models the durable snapshot tier while
 /// the [`CheckpointStore`] provides the *integrity* layer that decides
 /// which vault entry a recovery may trust. A snapshot is only ever
 /// restored after its dense checksum and manifest cross-validate against

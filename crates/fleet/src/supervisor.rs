@@ -682,9 +682,9 @@ impl Supervisor {
 
     /// Like [`new`](Self::new), but seeded with a surviving snapshot
     /// vault — the restarted-supervisor path the crash-recovery tests
-    /// drive (a real store would deserialize snapshots; the vendored
-    /// serde is a stub, so the vault models that durable tier in
-    /// memory).
+    /// drive (a real store would decode snapshots from disk; there is
+    /// no on-disk snapshot codec yet, so the vault models that durable
+    /// tier in memory).
     ///
     /// # Errors
     ///

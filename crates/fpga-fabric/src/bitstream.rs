@@ -8,7 +8,6 @@
 //! [`Design`]s. The cloud marketplace ships these.
 
 use bti_physics::{DutyCycle, LogicLevel};
-use serde::{Deserialize, Serialize};
 
 use crate::router::Route;
 use crate::{CellKind, Design, FabricError, NetActivity, TileCoord, WireId, WireSegment};
@@ -17,7 +16,7 @@ const MAGIC: u32 = 0xA55A_F1F1;
 const VERSION: u32 = 1;
 
 /// A configuration binary.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bitstream {
     words: Vec<u32>,
 }

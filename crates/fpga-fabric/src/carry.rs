@@ -7,8 +7,6 @@
 //! process variation is what forces the sensor to average ten traces at
 //! different θ offsets.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{FabricError, TileCoord, VariationModel};
 
 /// Nominal per-element carry delay on UltraScale+ parts, in picoseconds.
@@ -19,7 +17,7 @@ pub const CARRY_ELEMENT_PS: f64 = 2.8;
 
 /// A placed carry chain: `length` elements rising from `base` in one
 /// column.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CarryChain {
     base: TileCoord,
     element_delays_ps: Vec<f64>,

@@ -2,10 +2,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The polarity of a signal transition travelling through a route.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TransitionKind {
     /// A 0 → 1 edge. Limited by PMOS pull-ups, i.e. slowed by NBTI.
     Rising,
@@ -28,7 +26,7 @@ impl fmt::Display for TransitionKind {
 }
 
 /// The aged, variation-adjusted propagation delays of one route.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RouteDelay {
     /// Delay of a rising edge, in picoseconds.
     pub rise_ps: f64,

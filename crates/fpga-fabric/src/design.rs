@@ -8,12 +8,11 @@
 //! burn in.
 
 use bti_physics::{DutyCycle, LogicLevel};
-use serde::{Deserialize, Serialize};
 
 use crate::{FabricError, Route, TileCoord, WireId};
 
 /// The logic activity a net exhibits while its design runs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum NetActivity {
     /// The net statically holds one logic level (a secret bit, a netlist
     /// constant). This is what creates an exploitable pentimento.
@@ -39,7 +38,7 @@ impl NetActivity {
 }
 
 /// The kind of a placed cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CellKind {
     /// A clocked storage element. Breaks combinational cycles.
     Register,
@@ -69,7 +68,7 @@ impl CellKind {
 }
 
 /// A placed cell instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cell {
     /// Instance name.
     pub name: String,
@@ -84,7 +83,7 @@ pub struct Cell {
 }
 
 /// A routed net.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Net {
     /// Net name.
     pub name: String,
@@ -109,7 +108,7 @@ pub struct Net {
 /// assert_eq!(design.nets().len(), 1);
 /// assert_eq!(key_bit, 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Design {
     name: String,
     power_watts: f64,

@@ -5,7 +5,6 @@ use std::collections::HashSet;
 use bti_physics::{
     AgingArena, BtiModel, Celsius, DecayCache, DutyCycle, Hours, PhasePlan, WearModel, WireAging,
 };
-use serde::{Deserialize, Serialize};
 
 use crate::router::{route_direct, route_serpentine, Topology};
 use crate::{
@@ -14,7 +13,7 @@ use crate::{
 };
 
 /// Which physical product a device models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum DeviceProfile {
     /// A Zynq UltraScale+ ZCU102 development board (the paper's lab
@@ -48,7 +47,7 @@ impl DeviceProfile {
 /// holds every bin of every aged wire, indexed by [`WireId`], so a
 /// whole-device phase advance is a handful of batched kernel sweeps
 /// instead of a pointer-chasing loop over per-wire heap objects.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FpgaDevice {
     profile: DeviceProfile,
     topo: Topology,
@@ -62,16 +61,14 @@ pub struct FpgaDevice {
     aging: AgingArena,
     loaded: Option<Design>,
     /// Memoized phase kernels shared by every wire at the same
-    /// conditions. Pure derived values — never serialized, and a resumed
-    /// device simply rebuilds them on first use.
-    #[serde(skip)]
+    /// conditions. Pure derived values — a resumed device simply
+    /// rebuilds them on first use.
     decay_cache: DecayCache,
     /// When set, aging integrates through the original per-wire
     /// reference arithmetic instead of the cached kernels.
     /// The two are bit-identical (`kernel_bench` and the property suite
     /// enforce it); the switch exists so benches can time one against the
     /// other.
-    #[serde(skip)]
     reference_kernels: bool,
     /// Memoized sweep inputs for the loaded design: the `(arena slot,
     /// duty)` conditioning list plus its pre-grouped [`PhasePlan`].
@@ -79,8 +76,7 @@ pub struct FpgaDevice {
     /// step, which would dominate the batched sweep; the design's nets
     /// and routes are immutable while loaded, so both are pure derived
     /// data — cleared on any design change, re-planned when new wires
-    /// enter the arena, never serialized.
-    #[serde(skip)]
+    /// enter the arena.
     driven_cache: Option<SweepCache>,
 }
 

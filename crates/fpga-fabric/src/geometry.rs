@@ -2,13 +2,9 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A tile position on the device grid: `col` grows eastward, `row` grows
 /// northward.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct TileCoord {
     /// Column index (0-based, west to east).
     pub col: u16,
@@ -52,7 +48,7 @@ impl fmt::Display for TileCoord {
 }
 
 /// A cardinal routing direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// Toward larger rows.
     North,

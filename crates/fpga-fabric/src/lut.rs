@@ -15,7 +15,6 @@
 //! sensor's noise floor and readable only by Zick-style lab equipment.
 
 use bti_physics::{AgingState, BtiModel, Celsius, Hours, LogicLevel};
-use serde::{Deserialize, Serialize};
 
 use crate::TileCoord;
 
@@ -29,7 +28,7 @@ pub const LUT_BUFFER_DELAY_PS: f64 = 25.0;
 pub const LUT_BUFFER_SENSITIVITY_SCALE: f64 = 0.25;
 
 /// One LUT configuration bit's SRAM cell, with its analog aging state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LutConfigCell {
     location: TileCoord,
     bit_index: u8,
@@ -87,7 +86,7 @@ impl LutConfigCell {
 /// an off-chip reference oscillator. `resolution_ps` is the smallest
 /// reliably detectable Δps (their setup: ~0.001 ps). Cloud TDCs resolve
 /// about 0.1 ps after heavy averaging.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrecisionInstrument {
     /// Detection floor, in picoseconds.
     pub resolution_ps: f64,

@@ -14,8 +14,6 @@
 
 use std::collections::HashSet;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Direction, FabricError, TileCoord, WireId, WireKind, WireSegment};
 
 /// Slots per (tile, direction): 4 singles, 2 doubles, 1 quad, 1 long.
@@ -23,7 +21,7 @@ const SLOTS_PER_DIRECTION: u32 = 8;
 
 /// The static routing topology of a device: grid dimensions plus the
 /// arithmetic wire-id encoding.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Topology {
     pub cols: u16,
     pub rows: u16,
@@ -102,7 +100,7 @@ impl Topology {
 }
 
 /// A request for a route of a specific nominal delay.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RouteRequest {
     /// Tile where the route starts (the register driving the secret).
     pub start: TileCoord,
@@ -146,7 +144,7 @@ impl RouteRequest {
 }
 
 /// A physical route: an ordered list of wire segments.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Route {
     segments: Vec<WireSegment>,
     nominal_ps: f64,

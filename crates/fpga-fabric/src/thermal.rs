@@ -7,7 +7,6 @@
 //! accelerate burn-in.
 
 use bti_physics::Celsius;
-use serde::{Deserialize, Serialize};
 
 /// A lumped thermal model: steady state `T_die = ambient + θ_ja · power`,
 /// with a first-order transient whose time constant matches the paper's
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// few minutes" — the fact that makes thermal covert channels (Tian &
 /// Szefer, Section 7) short-lived while BTI imprints last for hundreds of
 /// hours.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalModel {
     ambient: Celsius,
     /// Junction-to-ambient thermal resistance, in °C per watt.

@@ -7,7 +7,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A deterministic per-element delay-variation generator.
 ///
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// index)`, so the same device always exhibits the same silicon, while
 /// different devices differ — which is what lets the cloud crate model
 /// device fingerprinting.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VariationModel {
     device_seed: u64,
     /// Relative standard deviation of element delays (e.g. 0.03 = 3 %).

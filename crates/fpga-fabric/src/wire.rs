@@ -9,15 +9,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Direction, TileCoord};
 
 /// Stable identifier of one physical wire segment on a device.
 ///
 /// Wire ids are dense indices into the device's wire table; they are the
 /// key under which analog aging state persists across designs and wipes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct WireId(pub u32);
 
 impl WireId {
@@ -35,7 +33,7 @@ impl fmt::Display for WireId {
 }
 
 /// The reach class of a wire segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WireKind {
     /// Reaches the adjacent switchbox (1 tile).
     Single,
@@ -101,7 +99,7 @@ impl fmt::Display for WireKind {
 }
 
 /// One physical wire segment: a directed hop between two switchboxes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WireSegment {
     /// Stable identifier.
     pub id: WireId,

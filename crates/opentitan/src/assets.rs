@@ -2,10 +2,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The paper's asset classification (Section 5.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AssetClass {
     /// Cryptographic keys (CK): OTP-stored keys, key-manager outputs,
     /// scrambling keys.
@@ -30,7 +28,7 @@ impl fmt::Display for AssetClass {
 
 /// Route-length order statistics for one asset, in picoseconds, exactly
 /// as printed in Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RouteLengthStats {
     /// Mean route length.
     pub mean_ps: f64,
@@ -49,7 +47,7 @@ pub struct RouteLengthStats {
 }
 
 /// One security-critical asset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Asset {
     /// Table 1 row number (1-based, sorted ascending by max route length).
     pub index: u8,

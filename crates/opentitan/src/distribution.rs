@@ -1,7 +1,5 @@
 //! Regenerating per-bit route-length populations from order statistics.
 
-use serde::{Deserialize, Serialize};
-
 use crate::RouteLengthStats;
 
 /// A piecewise-linear inverse CDF fitted through an asset's published
@@ -22,7 +20,7 @@ use crate::RouteLengthStats;
 /// assert_eq!(lengths.len(), 320);
 /// assert!(lengths.iter().all(|&l| l >= 39.0 && l <= 509.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantileFit {
     knots_p: [f64; 5],
     knots_v: [f64; 5],
@@ -87,7 +85,7 @@ impl QuantileFit {
 
 /// Summary statistics of a route-length population (used to regenerate
 /// Table 1's columns from sampled populations).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PopulationStats {
     /// Population size.
     pub n: usize,

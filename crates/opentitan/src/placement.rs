@@ -1,12 +1,11 @@
 //! Placing asset route populations onto the simulated fabric.
 
 use fpga_fabric::{FabricError, FpgaDevice, Route, RoutePacker};
-use serde::{Deserialize, Serialize};
 
 use crate::{Asset, QuantileFit};
 
 /// One asset realized as physical routes on a device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlacedAsset {
     /// The asset definition.
     pub asset: Asset,

@@ -1,12 +1,10 @@
 //! Table 1 regeneration and the vulnerability report.
 
-use serde::{Deserialize, Serialize};
-
 use crate::distribution::PopulationStats;
 use crate::{Asset, QuantileFit};
 
 /// One regenerated row of Table 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table1Row {
     /// The asset this row describes.
     pub asset: Asset,
@@ -49,7 +47,7 @@ pub fn render_table1(rows: &[Table1Row]) -> String {
 }
 
 /// One asset's exposure to a pentimento attack.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VulnerabilityEntry {
     /// The asset.
     pub asset: Asset,

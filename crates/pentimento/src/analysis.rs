@@ -6,10 +6,8 @@
 //! Nadaraya–Watson and the local-linear estimator with a Gaussian kernel;
 //! [`ols_slope`] provides the slope estimates the bit classifiers use.
 
-use serde::{Deserialize, Serialize};
-
 /// Which local estimator the kernel regression fits at each query point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelEstimator {
     /// Locally constant (Nadaraya–Watson): a kernel-weighted mean.
     LocallyConstant,

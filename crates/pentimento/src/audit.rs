@@ -14,12 +14,11 @@ use std::fmt;
 
 use bti_physics::{AgingState, BtiModel, Celsius, Hours, LogicLevel};
 use fpga_fabric::{Design, NetActivity};
-use serde::{Deserialize, Serialize};
 
 use crate::PentimentoError;
 
 /// The attack scenario an audit assumes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AuditScenario {
     /// How long the design is expected to run while holding its secrets.
     pub exposure_hours: f64,
@@ -59,7 +58,7 @@ impl AuditScenario {
 }
 
 /// Exposure verdict for one sensitive net.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Exposure {
     /// The expected imprint clears the attacker's sensing floor.
     Exposed,
@@ -80,7 +79,7 @@ impl fmt::Display for Exposure {
 }
 
 /// One audited net.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetAudit {
     /// The net's name in the design.
     pub net_name: String,
@@ -98,7 +97,7 @@ pub struct NetAudit {
 }
 
 /// The full audit report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DesignAuditReport {
     /// Name of the audited design.
     pub design_name: String,

@@ -50,7 +50,6 @@ use obs::{CampaignEvent, EventKind, Recorder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use tdc::{stream_seed, SensorFaultPlan, TdcArray, TdcConfig, TdcSensor, STREAM_MEASURE};
 
 use crate::classify::{
@@ -69,7 +68,7 @@ use crate::{MeasurementMode, PentimentoError, RouteGroupSpec, RouteSeries, Skele
 /// so replaying a campaign replays its waits. The accumulated wait is
 /// *simulated wall-clock* bookkeeping ([`CampaignStats::backoff_seconds`])
 /// — it never advances provider hours.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Attempts per operation before the error escalates to
     /// [`PentimentoError::RetriesExhausted`].
@@ -152,7 +151,7 @@ impl StateDigest {
 }
 
 /// Which attack the campaign drives.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Mission {
     /// Threat Model 1: drift extraction from a rented sealed AFI.
     ThreatModel1(ThreatModel1Config),
@@ -218,7 +217,7 @@ impl Mission {
 }
 
 /// Hostile-environment knobs and recovery tuning for one campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignConfig {
     /// Retry budget and backoff shape.
     pub retry: RetryPolicy,
@@ -251,7 +250,7 @@ impl Default for CampaignConfig {
 }
 
 /// What the resilience machinery did during a campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CampaignStats {
     /// Transient `rent` failures retried.
     pub rent_retries: u32,
@@ -281,7 +280,7 @@ pub struct CampaignStats {
 }
 
 /// Everything a finished campaign produced.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignOutcome {
     /// Per-route measurement series (gap-tolerant: dropped samples are
     /// simply absent).
@@ -305,7 +304,7 @@ pub struct CampaignOutcome {
 /// Device *identifiers* are a simulation artifact a real cloud does not
 /// expose across leases; matching delays against a tolerance is what an
 /// actual attacker can do (the paper's device-fingerprinting observation).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceFingerprint {
     route_rise_ps: Vec<f64>,
 }
@@ -354,7 +353,7 @@ impl DeviceFingerprint {
 }
 
 /// What to reload onto the device after a scrub or reacquisition.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum AttackDesign {
     /// Threat Model 1 conditions via the sealed marketplace AFI.
     Afi(cloud::AfiId),

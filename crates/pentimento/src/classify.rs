@@ -1,7 +1,6 @@
 //! Bit classifiers: turning Δps time series back into secret bits.
 
 use bti_physics::{AgingState, BtiModel, Celsius, Hours, LogicLevel};
-use serde::{Deserialize, Serialize};
 
 use crate::RouteSeries;
 
@@ -11,7 +10,7 @@ use crate::RouteSeries;
 /// gap-ridden to carry a signal; a classifier that must answer anyway
 /// turns silent data corruption into silent key corruption. `Abstain`
 /// makes "I can't tell" an explicit, countable outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
     /// The route previously held logical 0.
     Zero,
@@ -56,7 +55,7 @@ impl Verdict {
 
 /// A scored classification: the verdict plus the strength of the
 /// evidence behind it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Classification {
     /// The decision (possibly an abstention).
     pub verdict: Verdict,
@@ -152,7 +151,7 @@ const ABSTAIN_T: f64 = 0.5;
 /// Burn-1 routes drift positive (PBTI slows falling edges); burn-0 routes
 /// drift negative. The paper's Figures 6 and 7: "burn 0 (cyan) decreasing
 /// immediately from hour zero and burn 1 (magenta) increasing".
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DriftSlopeClassifier {
     /// Optional decision offset in ps/hour (0.0 = pure sign test).
     pub bias_ps_per_hour: f64,
@@ -196,7 +195,7 @@ impl BitClassifier for DriftSlopeClassifier {
 /// sharply; routes that held 0 continue their slow NBTI drift and stay
 /// comparatively flat. The decision threshold is calibrated on the
 /// *attacker's own* reference hardware model — no victim data needed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoverySlopeClassifier {
     /// Decision threshold in ps/hour *per picosecond of route length*;
     /// slopes below `threshold × target_ps` classify as a previous 1.
@@ -281,7 +280,7 @@ impl BitClassifier for RecoverySlopeClassifier {
 /// is a line; the true burn-1 recovery is a curved exponential-ish decay,
 /// so matching against the real template squeezes a little more SNR out
 /// of the same measurements.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MatchedFilterClassifier {
     /// Expected centered Δps template per picosecond of route length if
     /// the route previously held 1, one entry per observation hour.

@@ -12,14 +12,13 @@ use bti_physics::{Hours, LogicLevel};
 use fpga_fabric::FpgaDevice;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::classify::{BitClassifier, RecoverySlopeClassifier};
 use crate::designs::{build_condition_design, build_target_design};
 use crate::{MeasurementMode, PentimentoError, RouteGroupSpec, RouteSeries, Skeleton};
 
 /// Configuration of the BTI covert channel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CovertChannelConfig {
     /// Route length carrying each message bit, in picoseconds. Longer
     /// routes give a stronger, longer-lived symbol.
@@ -47,7 +46,7 @@ impl Default for CovertChannelConfig {
 }
 
 /// The result of one covert transmission.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CovertOutcome {
     /// The decoded message bits.
     pub decoded: Vec<bool>,

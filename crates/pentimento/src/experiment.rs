@@ -6,7 +6,6 @@ use fpga_fabric::FpgaDevice;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use tdc::{TdcArray, TdcConfig};
 
 use crate::designs::build_target_design;
@@ -25,7 +24,7 @@ pub(crate) fn oracle_deltas(device: &FpgaDevice, skeleton: &Skeleton) -> Vec<f64
 }
 
 /// The three experimental phases of Section 5.2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Finding θ_init for every sensor (runs once, hour 0).
     Calibration,
@@ -37,7 +36,7 @@ pub enum Phase {
 }
 
 /// How the harness reads route delays.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MeasurementMode {
     /// Through the full TDC pipeline: quantization, jitter, metastability,
     /// trace averaging. What a real attacker gets.
@@ -50,7 +49,7 @@ pub enum MeasurementMode {
 
 /// Configuration of a lab experiment (Experiment 1: new ZCU102 in a
 /// 60 °C oven).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LabExperimentConfig {
     /// Route-length groups, in picoseconds (paper: 1000/2000/5000/10000).
     pub route_lengths_ps: Vec<f64>,
@@ -116,7 +115,7 @@ impl LabExperimentConfig {
 }
 
 /// The result of an experiment run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentOutcome {
     /// One centered Δps series per route, in skeleton order.
     pub series: Vec<RouteSeries>,

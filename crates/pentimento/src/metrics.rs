@@ -1,7 +1,6 @@
 //! Attack-quality metrics.
 
 use bti_physics::LogicLevel;
-use serde::{Deserialize, Serialize};
 
 use crate::analysis::{mean, std_dev};
 use crate::RouteSeries;
@@ -81,7 +80,7 @@ pub fn separation_dprime(series: &[RouteSeries], statistic: impl Fn(&RouteSeries
 }
 
 /// One operating point of a threshold classifier.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RocPoint {
     /// The decision threshold producing this point.
     pub threshold: f64,
@@ -178,7 +177,7 @@ pub fn roc_auc(points: &[RocPoint]) -> f64 {
 }
 
 /// Summary of one attack run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryMetrics {
     /// Number of bits attacked.
     pub bits: usize,

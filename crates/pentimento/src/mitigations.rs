@@ -24,7 +24,6 @@ use bti_physics::{DutyCycle, Hours, LogicLevel};
 use fpga_fabric::{Design, FpgaDevice, NetActivity};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::analysis::mean;
 use crate::classify::{BitClassifier, RecoverySlopeClassifier};
@@ -36,7 +35,7 @@ const VICTIM_HOURS: usize = 200;
 const ATTACK_HOURS: usize = 25;
 
 /// A defense against pentimento recovery (Section 8).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum Mitigation {
     /// No defense: the vulnerable baseline.
@@ -106,7 +105,7 @@ impl fmt::Display for Mitigation {
 }
 
 /// The outcome of evaluating one mitigation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MitigationReport {
     /// The mitigation evaluated.
     pub mitigation: Mitigation,

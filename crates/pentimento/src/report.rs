@@ -3,7 +3,6 @@
 use std::fmt::Write as _;
 
 use bti_physics::LogicLevel;
-use serde::{Deserialize, Serialize};
 
 use crate::RouteSeries;
 
@@ -25,7 +24,7 @@ pub fn series_to_csv(series: &[RouteSeries]) -> String {
 }
 
 /// Configuration of the terminal scatter chart.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AsciiChartConfig {
     /// Character columns.
     pub width: usize,

@@ -1,14 +1,13 @@
 //! Per-route measurement time series.
 
 use bti_physics::LogicLevel;
-use serde::{Deserialize, Serialize};
 
 use crate::analysis::{median_in_place, ols_fit, ols_slope, KernelEstimator, KernelRegression};
 
 /// The Δps time series of one route under test — one point per
 /// measurement phase, centered at the first measurement exactly as the
 /// paper centers its plots at hour zero.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RouteSeries {
     /// Index of the route within its experiment.
     pub route_index: usize,

@@ -8,13 +8,12 @@
 //! device profile.
 
 use fpga_fabric::{FpgaDevice, Route, RoutePacker};
-use serde::{Deserialize, Serialize};
 
 use crate::PentimentoError;
 
 /// One group of identically sized routes (the paper uses four groups of
 /// sixteen).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RouteGroupSpec {
     /// Nominal route delay, in picoseconds.
     pub target_ps: f64,
@@ -23,7 +22,7 @@ pub struct RouteGroupSpec {
 }
 
 /// One placed route and the group it belongs to.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SkeletonEntry {
     /// The group's nominal delay, in picoseconds.
     pub target_ps: f64,
@@ -33,7 +32,7 @@ pub struct SkeletonEntry {
 
 /// The deterministic physical layout of an experiment's routes under
 /// test.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Skeleton {
     entries: Vec<SkeletonEntry>,
 }

@@ -11,7 +11,6 @@ use bti_physics::{Hours, LogicLevel};
 use cloud::{Provider, TenantId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::campaign::{run_benign, Mission};
 use crate::classify::{BitClassifier, DriftSlopeClassifier};
@@ -20,7 +19,7 @@ use crate::metrics::RecoveryMetrics;
 use crate::{MeasurementMode, PentimentoError, RouteGroupSpec, RouteSeries, Skeleton};
 
 /// Configuration of a Threat Model 1 run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThreatModel1Config {
     /// Route-length groups of the victim design (paper: 4×16).
     pub route_lengths_ps: Vec<f64>,
@@ -58,7 +57,7 @@ impl ThreatModel1Config {
 
 /// Everything the run produced: the attacker's series and recovered bits,
 /// plus the vendor-side ground truth for scoring.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThreatModel1Outcome {
     /// Per-route measurement series (attacker view, truth labels attached
     /// for scoring only).

@@ -9,14 +9,13 @@
 
 use bti_physics::LogicLevel;
 use cloud::Provider;
-use serde::{Deserialize, Serialize};
 
 use crate::campaign::{run_benign, Mission};
 use crate::metrics::RecoveryMetrics;
 use crate::{MeasurementMode, PentimentoError, RouteSeries};
 
 /// Configuration of a Threat Model 2 run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThreatModel2Config {
     /// Route-length groups of the victim design (paper: 4×16).
     pub route_lengths_ps: Vec<f64>,
@@ -66,7 +65,7 @@ impl ThreatModel2Config {
 }
 
 /// Outcome of a Threat Model 2 run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThreatModel2Outcome {
     /// The attacker's recovery-window series (hours count from the moment
     /// the victim released the board).

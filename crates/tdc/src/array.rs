@@ -12,13 +12,12 @@ use obs::Recorder;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use crate::stream::{stream_seed, STREAM_CALIBRATE, STREAM_MEASURE};
 use crate::{Measurement, TdcConfig, TdcError, TdcSensor};
 
 /// A bank of TDC sensors sharing one configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TdcArray {
     sensors: Vec<TdcSensor>,
 }

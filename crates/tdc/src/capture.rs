@@ -1,7 +1,6 @@
 //! Captured carry-chain snapshots and their Hamming post-processing.
 
 use fpga_fabric::TransitionKind;
-use serde::{Deserialize, Serialize};
 
 /// A bitmask over a carry chain's elements: bit `i` is word `i / 64`,
 /// bit `i % 64`.
@@ -42,7 +41,7 @@ pub(crate) fn test_bit(mask: &ChainMask, i: usize) -> bool {
 /// edge passed as a bitmask, so a register bit is that mask bit for a
 /// rising edge and its complement for a falling one. Either way the
 /// distance is the mask's popcount, counted once when the word is built.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CaptureWord {
     kind: TransitionKind,
     len: u16,

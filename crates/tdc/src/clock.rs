@@ -9,12 +9,10 @@
 //! of coarse step, interpolated further by the tunable launch path — we
 //! model the *effective* θ resolution the paper's sensor achieves.
 
-use serde::{Deserialize, Serialize};
-
 use crate::TdcError;
 
 /// A launch/capture clock pair with programmable, quantized phase offset.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClockGenerator {
     /// Clock period of both domains, in picoseconds.
     period_ps: f64,

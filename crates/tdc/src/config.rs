@@ -1,7 +1,5 @@
 //! Sensor configuration.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{CaptureWord, TdcError};
 
 /// Configuration of a TDC sensor instance.
@@ -10,7 +8,7 @@ use crate::{CaptureWord, TdcError};
 /// of 2⁴ samples, ten traces per measurement with the phase stepped down
 /// one carry bit (≈ 2.8 ps) between traces to average out chain
 /// non-uniformity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TdcConfig {
     /// Number of carry-chain delay elements / capture registers, at most
     /// [`CaptureWord::MAX_BITS`].

@@ -14,7 +14,6 @@
 //! (per-sample quorum + MAD outlier rejection across traces).
 
 use fpga_fabric::TransitionKind;
-use serde::{Deserialize, Serialize};
 
 use crate::capture::{low_bits, set_bit, ChainMask};
 use crate::{CaptureWord, Trace};
@@ -23,7 +22,7 @@ use crate::{CaptureWord, Trace};
 ///
 /// All rates are probabilities in `[0, 1]`. The default
 /// ([`SensorFaultPlan::none`]) injects nothing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SensorFaultPlan {
     /// Seed all decisions derive from.
     pub seed: u64,

@@ -1,12 +1,11 @@
 //! Traces and measurement summaries.
 
 use fpga_fabric::{TransitionKind, CARRY_ELEMENT_PS};
-use serde::{Deserialize, Serialize};
 
 use crate::{CaptureWord, TdcError};
 
 /// One trace: a short burst of samples of both polarities at a single θ.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     theta_ps: f64,
     rising: Vec<CaptureWord>,
@@ -112,7 +111,7 @@ impl Trace {
 
 /// A full measurement: the aggregate of several traces captured while θ
 /// steps downward from `θ_init` (the paper averages ten).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Measurement {
     /// The θ of the first trace (the calibrated θ_init).
     pub theta_init_ps: f64,

@@ -2,7 +2,6 @@
 
 use fpga_fabric::{CarryChain, FpgaDevice, Route, RouteDelay, TileCoord, TransitionKind};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::capture::{low_bits, set_bit};
 use crate::util::gaussian;
@@ -18,14 +17,13 @@ use crate::{
 ///
 /// Calibration and measurement take `&FpgaDevice` — sensing never mutates
 /// the device; only running designs ([`FpgaDevice::run_for`]) ages wires.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TdcSensor {
     route: Route,
     chain: CarryChain,
     config: TdcConfig,
     clock: ClockGenerator,
     theta_init_ps: Option<f64>,
-    #[serde(default)]
     faults: SensorFaultPlan,
 }
 

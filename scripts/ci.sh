@@ -11,6 +11,14 @@ export CARGO_NET_OFFLINE=true
 echo "== cargo build --release =="
 cargo build --release
 
+echo "== unused dependencies (-D unused_crate_dependencies) =="
+# Every [dependencies] edge of a library must be used by its code. A
+# target dir of its own keeps the RUSTFLAGS change from invalidating the
+# main build cache. `bench` is excluded: its bins share the lib's
+# [dependencies], and a lib-level lint cannot see what they use.
+RUSTFLAGS="-D unused_crate_dependencies" \
+    cargo check --workspace --lib --exclude bench --target-dir target/udeps
+
 echo "== cargo test -q =="
 cargo test -q
 
